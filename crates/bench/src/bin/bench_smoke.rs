@@ -53,7 +53,7 @@
 //! `bench_smoke redundancy` measures the cost of the replication layer
 //! on the serving workload. Overhead is isolated on the quiet N=1 path
 //! — replicated admission with one replica makes decisions byte-
-//! identical to the legacy serve path (a gate checks the outcome logs
+//! identical to the unreplicated serve (a gate checks the outcome logs
 //! match), so the wall-time ratio prices only the routing machinery
 //! (interleaved rounds, median of per-round ratios, gated at ≤ 1.15x).
 //! It also cross-checks that a diverse replica pair beats the single
@@ -947,7 +947,7 @@ fn run_redundancy_smoke(reps: usize) {
     }
 
     // Gate 4: the quiet N=1-replicated path is behaviourally identical
-    // to the legacy serve path — otherwise the overhead ratio is not
+    // to the unreplicated serve — otherwise the overhead ratio is not
     // pricing the machinery alone.
     let legacy = serve_legacy_quiet();
     let replicated = serve_replicated_quiet();

@@ -510,6 +510,9 @@ impl ParallelTrials {
         report.attempts = log.len() as u64;
         report.faults_injected = faults_injected.load(Ordering::Relaxed);
         report.recovered = recovered;
+        // The supervisor sees losses in worker arrival order, which
+        // depends on the schedule; canonicalise by trial here, the one
+        // place the list is assembled, so the report is thread-invariant.
         report.lost = lost
             .into_iter()
             .map(|(trial, cause, detail)| LostTrial {
@@ -519,11 +522,11 @@ impl ParallelTrials {
                 detail,
             })
             .collect();
+        report.lost.sort_by_key(|l| l.trial);
         report.health = RunReport::health_from_log(n_trials, &mut log);
         // Retain the sorted log so telemetry can replay the supervisor's
         // decisions (retries, plans, losses) in logical order post-run.
-        let mut lost_ids: Vec<u64> = report.lost.iter().map(|l| l.trial).collect();
-        lost_ids.sort_unstable();
+        let lost_ids: Vec<u64> = report.lost.iter().map(|l| l.trial).collect();
         report.segments = vec![AttemptSegment {
             trials: n_trials,
             log,
@@ -1074,14 +1077,54 @@ mod tests {
             (kept, ctx.run_report().expect("report"))
         };
         let (kept1, report1) = run(1);
-        let (kept4, report4) = run(4);
         assert!(!report1.lost.is_empty(), "permanent faults must lose slots");
-        assert_eq!(kept1, kept4);
-        assert_eq!(report1, report4);
+        assert!(
+            report1.lost.windows(2).all(|w| w[0].trial < w[1].trial),
+            "lost trials are listed in trial order"
+        );
         assert_eq!(
             kept1.len() as u64 + report1.lost.len() as u64,
             report1.trials
         );
+        // Oversubscribed budgets finish workers in arbitrary order; the
+        // report must not show it.
+        for threads in [2, 4, 8] {
+            let (kept, report) = run(threads);
+            assert_eq!(kept1, kept, "threads={threads}");
+            assert_eq!(report1, report, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn lost_trials_stay_in_trial_order_when_workers_finish_out_of_order() {
+        // Poisoned slots run their trial before the result is
+        // discarded; slow low-index trials make the higher-index losses
+        // reach the supervisor first on every multi-thread budget.
+        let cfg = FaultConfig::parse("seed=5,poison=0.5,times=3,retries=1,backoff_ms=0")
+            .expect("valid spec");
+        let run = |threads: usize| {
+            let ctx = RunContext::with_threads(4, threads)
+                .supervised(Supervision::new("order-test", cfg.clone()));
+            ctx.run_trials(
+                32,
+                9,
+                |idx, rng| {
+                    if idx < 4 {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    idx ^ rng.gen::<u64>()
+                },
+                0u64,
+                |acc, x| acc ^ x,
+            );
+            ctx.run_report().expect("report")
+        };
+        let serial = run(1);
+        assert!(serial.lost.iter().any(|l| l.trial < 4));
+        assert!(serial.lost.iter().any(|l| l.trial >= 4));
+        for threads in [2, 4] {
+            assert_eq!(serial, run(threads), "threads={threads}");
+        }
     }
 
     #[test]

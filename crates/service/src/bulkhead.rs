@@ -170,6 +170,13 @@ impl Bulkhead {
     /// keeps the model simple and strictly deterministic.
     pub fn tick(&mut self) -> Vec<Job> {
         let mut completed = Vec::new();
+        self.tick_into(&mut completed);
+        completed
+    }
+
+    /// [`Bulkhead::tick`], appending the completed jobs to a reused
+    /// buffer.
+    pub(crate) fn tick_into(&mut self, completed: &mut Vec<Job>) {
         for slot in &mut self.in_service {
             if let Some(job) = slot {
                 job.work = job.work.saturating_sub(self.rate);
@@ -187,7 +194,6 @@ impl Bulkhead {
                 }
             }
         }
-        completed
     }
 }
 

@@ -1,19 +1,24 @@
 //! The graceful-degradation service engine.
 //!
 //! [`ServiceEngine::serve`] replays an open-loop [`RequestTrace`]
-//! against the backend engines on a discrete logical clock. Per tick:
+//! against the backend engines on a discrete logical clock. Every
+//! request family is a [`ReplicaSet`] — one replica unless
+//! [`ServiceConfig::replication`] asks for more — and one tick loop
+//! serves every configuration. Per tick:
 //!
-//! 1. every family bulkhead advances one tick of logical service;
-//!    completed requests execute their backend computation (a seeded
+//! 1. every replica bulkhead advances one tick of logical service;
+//!    completed attempts execute their backend computation (a seeded
 //!    Monte Carlo fold on the configured thread budget) and are
-//!    adjudicated against the fault plan and the family's circuit
-//!    breaker;
-//! 2. the tick's arrivals pass admission control — bulkhead bounds,
-//!    deadline feasibility, breaker state, and the brownout dimmer —
-//!    and are admitted (possibly degraded), answered from cache, or
-//!    explicitly shed;
+//!    adjudicated against the fault plan and the replica's circuit
+//!    breaker — a failed attempt may fail over to a spare replica;
+//! 2. the tick's arrivals pass admission control — breaker gates,
+//!    the brownout dimmer, bulkhead bounds, and deadline feasibility
+//!    — and are routed to a replica (possibly degraded, possibly
+//!    hedged), answered from cache, or explicitly shed;
 //! 3. the tick's quality sample `Q(t)` is recorded and fed back to the
-//!    brownout controller (self-scored control).
+//!    brownout controller (self-scored control) and, when configured,
+//!    to the anticipation loop, whose operating mode sets the brownout
+//!    bounds, breaker cooldowns, and admission deadlines in force.
 //!
 //! **Determinism contract.** Every decision reads only logical-clock
 //! state: arrival ticks, work units, seeded fault lookups, and breaker/
@@ -35,10 +40,11 @@
 
 use rand::Rng;
 use resilience_anticipate::{
-    AnticipationConfig, AnticipationController, LossWindow, ModeTransition, OperatingMode,
+    AnticipationConfig, AnticipationController, LossWindow, ModePolicy, ModeTransition,
+    OperatingMode,
 };
 use resilience_core::bruneau::resilience_loss;
-use resilience_core::faults::{FaultKind, FaultPlan, SlotFault};
+use resilience_core::faults::{FaultKind, FaultPlan};
 use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
 use resilience_core::rng::derive_seed;
 use resilience_core::runtime::ParallelTrials;
@@ -50,7 +56,10 @@ use resilience_telemetry::{DeficitCause, Event, Telemetry};
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::brownout::{BrownoutConfig, BrownoutController};
-use crate::bulkhead::{Bulkhead, Job};
+use crate::bulkhead::Job;
+use crate::replica::{
+    ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
+};
 use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason};
 
 /// Tuning of the serving layer. All quantities are logical-clock units;
@@ -83,16 +92,16 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// The anticipation loop: early-warning detection over the live
     /// deficit stream plus Normal/Alert/Emergency policy switching.
-    /// `None` (the default) keeps the purely reactive serve path with
-    /// outputs byte-identical to previous releases.
+    /// `None` (the default) serves purely reactively. Composes with
+    /// `replication`: the mode policy in force sets every replica
+    /// breaker's cooldown and the deadline that admission, hedging and
+    /// failover use.
     pub anticipation: Option<AnticipationConfig>,
     /// The replication layer: per-family replica sets with
     /// deterministic routing, hedged requests, failover, and a retry
-    /// budget. `None` (the default) keeps the single-backend serve
-    /// path with outputs byte-identical to previous releases. Mutually
-    /// exclusive with `anticipation` for now — the two control loops
-    /// have not been reconciled.
-    pub replication: Option<crate::replica::ReplicationConfig>,
+    /// budget. `None` (the default) serves each family from a single
+    /// backend — a set of one replica that draws the slot's own fault.
+    pub replication: Option<ReplicationConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -172,7 +181,8 @@ impl ServiceReport {
         resilience_loss(&self.quality)
     }
 
-    /// Whether this report came from the replicated serve path.
+    /// Whether this report came from a serve with replication
+    /// configured.
     pub fn replication_active(&self) -> bool {
         !self.replica_stats.is_empty()
     }
@@ -255,26 +265,9 @@ impl ServiceReport {
     }
 }
 
-/// A request admitted to a bulkhead, waiting for its logical completion.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    request: Request,
-    fidelity: Fidelity,
-    /// The fault adjudicated against this request (looked up once at
-    /// admission; pure function of the plan and the request id).
-    fault: Option<FaultKind>,
-    /// Tick the request entered the bulkhead queue.
-    enqueued: u64,
-    /// Effective deadline at admission (after anticipatory scaling).
-    deadline: u64,
-    /// Scheduled work before fault inflation.
-    base_work: u64,
-    /// Scheduled work after fault inflation (delay/gray).
-    work: u64,
-}
-
-/// The serving front end: bulkheads, breakers, and the brownout dimmer
-/// over a set of backend families.
+/// The serving front end: per-family replica sets (bulkheads and
+/// breakers), the brownout dimmer, and the optional anticipation and
+/// replication layers over a set of backend families.
 #[derive(Debug)]
 pub struct ServiceEngine {
     pub(crate) config: ServiceConfig,
@@ -285,19 +278,15 @@ impl ServiceEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, `servers_per_family == 0`, or
-    /// `rate_per_server == 0` (delegated to the bulkhead and runtime
-    /// constructors).
+    /// Panics if `threads == 0`, if a replication config asks for zero
+    /// replicas, or if `servers_per_family == 0` or
+    /// `rate_per_server == 0` (delegated to the bulkhead constructor).
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.threads >= 1, "thread budget must be at least 1");
         if let Some(rcfg) = &config.replication {
             assert!(
                 rcfg.replicas >= 1,
                 "a replica set needs at least one replica"
-            );
-            assert!(
-                config.anticipation.is_none(),
-                "anticipation and replication are mutually exclusive for now"
             );
         }
         ServiceEngine { config }
@@ -310,7 +299,7 @@ impl ServiceEngine {
     /// given chaos plan damages the same requests no matter how the
     /// service schedules them.
     pub fn serve(&self, trace: &RequestTrace, plan: &FaultPlan) -> ServiceReport {
-        self.serve_inner(trace, plan, None)
+        Serve::new(&self.config, trace, plan, None).run()
     }
 
     /// [`ServiceEngine::serve`] with the telemetry spine attached:
@@ -332,231 +321,321 @@ impl ServiceEngine {
         plan: &FaultPlan,
         telemetry: &mut Telemetry,
     ) -> ServiceReport {
-        self.serve_inner(trace, plan, Some(telemetry))
+        Serve::new(&self.config, trace, plan, Some(telemetry)).run()
     }
 
-    fn serve_inner(
-        &self,
-        trace: &RequestTrace,
-        plan: &FaultPlan,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> ServiceReport {
-        if self.config.replication.is_some() {
-            return self.serve_replicated(trace, plan, telemetry);
+    /// Work units actually scheduled for a request at `fidelity`.
+    fn effective_work(cfg: &ServiceConfig, cost: u64, fidelity: Fidelity) -> u64 {
+        match fidelity {
+            Fidelity::Full => cost.max(1),
+            Fidelity::Reduced => (cost / cfg.brownout.reduced_divisor.max(1)).max(1),
+            Fidelity::Cached => 0,
         }
-        let cfg = &self.config;
+    }
+
+    /// The backend computation: an XOR fold of seeded Monte Carlo
+    /// draws on the physical thread pool — bit-identical for any thread
+    /// budget by the runtime's determinism contract.
+    fn backend_value(pool: &ParallelTrials, seed: u64, trials: u64) -> u64 {
+        pool.run(
+            trials,
+            seed,
+            |idx, rng| idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rng.gen::<u64>(),
+            0u64,
+            |acc, x| acc ^ x,
+        )
+    }
+}
+
+/// One dispatched attempt of an in-flight request.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    replica: u32,
+    kind: AttemptKind,
+    fidelity: Fidelity,
+    fault: Option<FaultKind>,
+    correlated: bool,
+    /// Tick the attempt entered its bulkhead queue.
+    enqueued: u64,
+    /// Scheduled work before fault inflation.
+    base_work: u64,
+    /// Scheduled work after fault inflation (delay/gray).
+    work: u64,
+}
+
+impl Attempt {
+    /// Whether the attempt's backend dies instead of answering. Delay
+    /// and gray faults only inflate the logical service time: a gray
+    /// backend is slow, not wrong, which is exactly why the breaker
+    /// never sees it.
+    fn dies(&self) -> bool {
+        self.correlated || matches!(self.fault, Some(FaultKind::Panic | FaultKind::Poison))
+    }
+
+    /// Causal sketch of this attempt with the given resolution.
+    fn sketch(&self, rate: u64, completed: Option<u64>, won: bool, failed: bool) -> AttemptSketch {
+        AttemptSketch {
+            replica: self.replica,
+            kind: self.kind,
+            enqueued: self.enqueued,
+            base_work: self.base_work,
+            work: self.work,
+            rate,
+            completed,
+            won,
+            failed,
+        }
+    }
+}
+
+/// A request admitted to its family's replica set, waiting for a
+/// logical completion.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    request: Request,
+    /// Effective deadline at admission (after anticipatory scaling).
+    deadline: u64,
+    /// Racing attempts: a primary and possibly its hedge, or a single
+    /// failover. Never more than two are live at once.
+    live: [Option<Attempt>; 2],
+    hedged: bool,
+    failed_over: bool,
+}
+
+/// How a request was settled — the shape of its causal sketch.
+enum Resolution {
+    /// At admission: shed or answered from cache, with the evidence of
+    /// the gate that shed it.
+    Admission(Option<ShedGate>),
+    /// An attempt answered; its racing sibling, if any, was cancelled.
+    Won {
+        winner: Attempt,
+        cancelled: Option<Attempt>,
+    },
+    /// Every attempt died: the cached answer stood in, or, with
+    /// degradation off, the request failed.
+    Fallback,
+}
+
+/// One serve: the state of the tick loop over a trace.
+///
+/// Every family is a [`ReplicaSet`]; without replication it is a set of
+/// one replica that draws the slot's own fault
+/// ([`FaultPlan::slot_fault`]) and no correlated blast, so it never
+/// hedges or fails over. With replication each replica draws
+/// [`FaultPlan::replica_fault`] plus the [`FaultPlan::correlated_hit`]
+/// of its diversity class.
+struct Serve<'a> {
+    cfg: &'a ServiceConfig,
+    trace: &'a RequestTrace,
+    plan: &'a FaultPlan,
+    tel: Option<&'a mut Telemetry>,
+    /// Whether a replication config is set (and the replica outputs of
+    /// the report exist).
+    replicated: bool,
+    hedge_fraction_milli: u64,
+    pool: ParallelTrials,
+    backend_master: u64,
+    /// Precomputed per-family cache tables: the level-2 / fallback
+    /// answer.
+    cached_values: Vec<u64>,
+    delay_work: u64,
+    sets: Vec<ReplicaSet>,
+    budgets: Vec<RetryBudget>,
+    rstats: Vec<ReplicaFamilyStats>,
+    brownout: BrownoutController,
+    /// Admission deadline multiplier of the anticipation policy in
+    /// force, in milli-units (1000 when anticipation is off).
+    deadline_scale_milli: u64,
+    flights: Vec<Option<Flight>>,
+    /// Attempts that already died, as `(request id, attempt, death
+    /// tick)` — kept only when tracing, until their request settles, so
+    /// its span tree covers every attempt it ran.
+    dead: Vec<(u64, Attempt, u64)>,
+    outcomes: Vec<Option<RequestOutcome>>,
+    replica_log: Vec<Option<ReplicaOutcome>>,
+    per_family: Vec<FamilyStats>,
+    quality: QualityTrajectory,
+    pending: u64,
+    /// This tick's quality deficit.
+    deficit: f64,
+    /// This tick's sheds and hard failures — the involuntary part of
+    /// the deficit. The brownout controller must steer by this (plus
+    /// occupancy), not the full deficit: counting its own planned
+    /// degradation as pressure would be a positive feedback loop that
+    /// never lets the dimmer recover (at level 2 every response charges
+    /// `cached_penalty`, which would hold the pressure above the raise
+    /// threshold forever).
+    hard: u64,
+    /// This tick's adjudications.
+    adjudicated: u64,
+    /// Reused per-admission buffers: breaker verdicts, ranked replicas,
+    /// and the ranked replicas' fault draws.
+    allowed: Vec<bool>,
+    ranked: Vec<u32>,
+    draws: Vec<(Option<FaultKind>, bool)>,
+}
+
+impl<'a> Serve<'a> {
+    fn new(
+        cfg: &'a ServiceConfig,
+        trace: &'a RequestTrace,
+        plan: &'a FaultPlan,
+        tel: Option<&'a mut Telemetry>,
+    ) -> Self {
         let n_families = trace.families.len().max(1);
         let pool = ParallelTrials::new(cfg.threads);
         let backend_master = derive_seed(trace.seed, 0xbac0);
-
-        // Precomputed per-family cache tables: the level-2 / fallback
-        // answer. Deterministic (seeded) and computed before the clock
-        // starts, so cache hits cost zero backend work during the run.
-        let cached_values: Vec<u64> = (0..n_families)
+        // Deterministic (seeded) and computed before the clock starts,
+        // so cache hits cost zero backend work during the run.
+        let cached_values = (0..n_families)
             .map(|fam| {
                 let seed = derive_seed(backend_master, 0xcafe + fam as u64);
-                Self::backend_value(&pool, seed, 64)
+                ServiceEngine::backend_value(&pool, seed, 64)
             })
             .collect();
-
-        let mut bulkheads: Vec<Bulkhead> = (0..n_families)
+        let rcfg = cfg.replication.clone().unwrap_or(ReplicationConfig {
+            replicas: 1,
+            ..ReplicationConfig::default()
+        });
+        let sets = (0..n_families)
             .map(|_| {
-                Bulkhead::new(
-                    cfg.queue_capacity,
+                ReplicaSet::new(
+                    &rcfg,
                     cfg.servers_per_family,
                     cfg.rate_per_server,
+                    cfg.queue_capacity,
+                    cfg.breaker_threshold,
+                    cfg.breaker_cooldown,
                 )
             })
             .collect();
-        let mut breakers: Vec<CircuitBreaker> = (0..n_families)
-            .map(|_| CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown))
-            .collect();
-        let mut brownout = BrownoutController::new(cfg.brownout.clone());
+        let replicated = cfg.replication.is_some();
+        Serve {
+            cfg,
+            trace,
+            plan,
+            tel,
+            replicated,
+            hedge_fraction_milli: rcfg.hedge_fraction_milli,
+            pool,
+            backend_master,
+            cached_values,
+            delay_work: plan.delay.as_millis() as u64 * cfg.rate_per_server,
+            sets,
+            budgets: vec![
+                RetryBudget::new(rcfg.budget_capacity, rcfg.budget_refill_milli);
+                n_families
+            ],
+            rstats: vec![
+                ReplicaFamilyStats {
+                    replicas: rcfg.replicas as u32,
+                    ..ReplicaFamilyStats::default()
+                };
+                n_families
+            ],
+            brownout: BrownoutController::new(cfg.brownout.clone()),
+            deadline_scale_milli: 1000,
+            flights: vec![None; trace.len()],
+            dead: Vec::new(),
+            outcomes: vec![None; trace.len()],
+            replica_log: if replicated {
+                vec![None; trace.len()]
+            } else {
+                Vec::new()
+            },
+            per_family: vec![FamilyStats::default(); n_families],
+            quality: QualityTrajectory::new(1.0),
+            pending: trace.len() as u64,
+            deficit: 0.0,
+            hard: 0,
+            adjudicated: 0,
+            allowed: Vec::with_capacity(rcfg.replicas),
+            ranked: Vec::with_capacity(rcfg.replicas),
+            draws: Vec::with_capacity(rcfg.replicas),
+        }
+    }
+
+    /// The tick loop. Per tick: refill the retry budgets; advance every
+    /// replica's bulkhead and adjudicate completions; admit the tick's
+    /// arrivals in trace order; sample Q(t) and feed the brownout and
+    /// anticipation controllers.
+    fn run(mut self) -> ServiceReport {
+        let cfg = self.cfg;
+        let trace = self.trace;
+        let n_families = self.sets.len();
         // The anticipation loop: a warning detector over the raw
         // pressure signal, the mode state machine, and the loss window
-        // behind heavy-tail-aware provisioning. All logical-clock
-        // state — `None` leaves the reactive path untouched.
+        // behind heavy-tail-aware provisioning.
         let mut anticipation = cfg.anticipation.as_ref().map(|a| {
             (
                 AnticipationController::new(a.clone()),
                 LossWindow::new(a.loss_window),
             )
         });
-        // Mode-policy levers currently in force. The controller starts
-        // in Normal, so Normal's policy set applies from tick 0 — not
-        // only after the first transition.
-        let mut deadline_scale_milli: u64 = 1000;
+        // The controller starts in Normal, so Normal's policy set
+        // applies from tick 0 — not only after the first transition.
         let mut pressure_bias: f64 = 0.0;
-        if let Some(acfg) = cfg.anticipation.as_ref() {
-            brownout.set_floor(0, acfg.normal.brownout_floor);
-            brownout.set_ceiling(0, acfg.normal.brownout_ceiling);
-            deadline_scale_milli = acfg.normal.deadline_scale_milli;
-            let cooldown = cfg
-                .breaker_cooldown
-                .saturating_mul(acfg.normal.cooldown_scale_milli)
-                / 1000;
-            for breaker in breakers.iter_mut() {
-                breaker.set_cooldown(cooldown);
-            }
+        if let Some(acfg) = &cfg.anticipation {
+            self.apply_policy(0, &acfg.normal);
         }
         let mut warning_scores: Vec<u64> = Vec::new();
 
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut per_family = vec![FamilyStats::default(); n_families];
-        let mut in_flight: Vec<Option<InFlight>> = vec![None; trace.len()];
-        let mut quality = QualityTrajectory::new(1.0);
-        let mut next_arrival = 0usize; // index into trace.requests
-
+        let mut next_arrival = 0usize;
         let mut tick = 0u64;
-        let mut pending = trace.len() as u64;
-        // Hard ceiling so a logic bug can never hang the run: every tick
-        // with outstanding work retires at least one work unit somewhere
-        // once arrivals stop.
+        // Hard ceiling so a logic bug can never hang the run. Up to
+        // three dispatches per request (primary, hedge, failover), each
+        // possibly gray-inflated — the ceiling only guards against
+        // non-convergence bugs, so it is deliberately generous.
         let total_work: u64 = trace.requests.iter().map(|r| r.cost).sum();
-        let delay_work = plan.delay.as_millis() as u64 * cfg.rate_per_server;
         let tick_ceiling = trace
             .horizon()
-            .saturating_add(total_work)
-            .saturating_add(trace.len() as u64 * delay_work)
+            .saturating_add(
+                total_work
+                    .saturating_mul(3)
+                    .saturating_mul(self.plan.gray_factor.max(1)),
+            )
+            .saturating_add((trace.len() as u64).saturating_mul(3 * self.delay_work))
             .saturating_add(cfg.breaker_cooldown + 1000);
 
-        // Telemetry cursors: how many breaker transitions / brownout
-        // moves have already been emitted, and the last queued depth
-        // emitted per family (occupancy events fire on change only).
-        let mut seen_transitions = vec![0usize; n_families];
+        // Telemetry cursors: breaker transitions already emitted per
+        // (family, replica), brownout moves and mode transitions already
+        // emitted, the last warning score, and the last summed queued
+        // depth per family (occupancy events fire on change only).
+        let mut seen_transitions: Vec<Vec<usize>> =
+            self.sets.iter().map(|s| vec![0; s.len()]).collect();
         let mut seen_brownout = 0usize;
         let mut seen_modes = 0usize;
         let mut last_warning: Option<u64> = None;
         let mut last_queued: Vec<Option<usize>> = vec![None; n_families];
+        let mut completed = Vec::new();
 
-        while pending > 0 {
+        while self.pending > 0 {
             assert!(
                 tick <= tick_ceiling,
                 "service engine failed to converge by tick {tick}"
             );
-            let mut deficit = 0.0f64;
-            // Sheds and hard failures only — the involuntary part of the
-            // deficit. The brownout controller must steer by this (plus
-            // occupancy), not the full deficit: counting its own planned
-            // degradation as pressure would be a positive feedback loop
-            // that never lets the dimmer recover (at level 2 every
-            // response charges `cached_penalty`, which would hold the
-            // pressure above the raise threshold forever).
-            let mut hard = 0u64;
-            let mut adjudicated = 0u64;
+            self.deficit = 0.0;
+            self.hard = 0;
+            self.adjudicated = 0;
+            if self.replicated {
+                // A single-backend family never spends a token.
+                for budget in self.budgets.iter_mut() {
+                    budget.tick();
+                }
+            }
 
             // --- 1. Advance service; adjudicate completions. ---------
+            // Replicas advance in (family, replica, server) order — a
+            // pure function of logical state, so when both attempts of
+            // a hedged request complete on the same tick the winner is
+            // always the lower replica index.
             for fam in 0..n_families {
-                for job in bulkheads[fam].tick() {
-                    let idx = usize::try_from(job.id).expect("request id fits usize");
-                    let flight = in_flight[idx].take().expect("completed job was in flight");
-                    let (disposition, penalty) = self.adjudicate(
-                        &pool,
-                        backend_master,
-                        &cached_values,
-                        &mut breakers,
-                        &flight,
-                        tick,
-                    );
-                    match &disposition {
-                        Disposition::Served { fidelity, .. } => match fidelity {
-                            Fidelity::Full => per_family[fam].served_full += 1,
-                            Fidelity::Reduced => per_family[fam].served_reduced += 1,
-                            Fidelity::Cached => per_family[fam].served_cached += 1,
-                        },
-                        Disposition::Failed { .. } => {
-                            per_family[fam].failed += 1;
-                            hard += 1;
-                        }
-                        Disposition::Shed { .. } => unreachable!("completions are never shed"),
+                for r in 0..self.sets[fam].len() {
+                    self.sets[fam].bulkheads[r].tick_into(&mut completed);
+                    for job in completed.drain(..) {
+                        self.complete(fam, r as u32, job.id, tick);
                     }
-                    if let Some(tel) = telemetry.as_deref_mut() {
-                        match &disposition {
-                            Disposition::Served {
-                                fidelity, latency, ..
-                            } => {
-                                tel.tracer.record(
-                                    tick,
-                                    Event::RequestServed {
-                                        id: flight.request.id,
-                                        family: fam as u32,
-                                        fidelity: fidelity.to_string(),
-                                        latency: *latency,
-                                    },
-                                );
-                                tel.tracer.record(
-                                    tick,
-                                    match fidelity {
-                                        Fidelity::Cached => Event::CacheHit { family: fam as u32 },
-                                        _ => Event::CacheMiss { family: fam as u32 },
-                                    },
-                                );
-                                tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                            }
-                            Disposition::Failed { cause } => {
-                                tel.tracer.record(
-                                    tick,
-                                    Event::RequestFailed {
-                                        id: flight.request.id,
-                                        family: fam as u32,
-                                        cause: cause.clone(),
-                                    },
-                                );
-                                tel.trajectory.charge(DeficitCause::Failed, penalty);
-                            }
-                            Disposition::Shed { .. } => unreachable!(),
-                        }
-                        // Causal sketch: one primary attempt whose
-                        // backend either answered or died into fallback.
-                        let attempt_failed = matches!(
-                            flight.fault,
-                            Some(FaultKind::Panic) | Some(FaultKind::Poison)
-                        );
-                        let outcome = match &disposition {
-                            Disposition::Served {
-                                fidelity, latency, ..
-                            } => SketchOutcome::Served {
-                                fidelity: fidelity.to_string(),
-                                latency: *latency,
-                                fallback: attempt_failed,
-                            },
-                            Disposition::Failed { cause } => SketchOutcome::Failed {
-                                cause: cause.clone(),
-                            },
-                            Disposition::Shed { .. } => unreachable!(),
-                        };
-                        tel.causal.record(&RequestSketch {
-                            trial: 0,
-                            id: flight.request.id,
-                            family: fam as u32,
-                            arrival: flight.request.arrival,
-                            deadline: flight.deadline,
-                            decided_at: tick,
-                            outcome,
-                            attempts: vec![AttemptSketch {
-                                replica: 0,
-                                kind: AttemptKind::Primary,
-                                enqueued: flight.enqueued,
-                                base_work: flight.base_work,
-                                work: flight.work,
-                                rate: cfg.rate_per_server,
-                                completed: Some(tick),
-                                won: !attempt_failed,
-                                failed: attempt_failed,
-                            }],
-                            gate: None,
-                        });
-                        tel.incidents.observe(fam as u32, flight.request.id);
-                    }
-                    outcomes[idx] = Some(RequestOutcome {
-                        id: flight.request.id,
-                        family: fam,
-                        decided_at: tick,
-                        disposition,
-                    });
-                    deficit += penalty;
-                    adjudicated += 1;
-                    pending -= 1;
                 }
             }
 
@@ -564,191 +643,85 @@ impl ServiceEngine {
             while next_arrival < trace.len() && trace.requests[next_arrival].arrival == tick {
                 let request = trace.requests[next_arrival];
                 next_arrival += 1;
-                let fam = request.family.min(n_families - 1);
-                per_family[fam].arrivals += 1;
-                let fault = plan.slot_fault(&trace.families[fam], trace.seed, request.id);
-                let decision = self.admit(
-                    &mut bulkheads[fam],
-                    &mut breakers[fam],
-                    &brownout,
-                    &request,
-                    fault,
-                    cached_values[fam],
-                    delay_work,
-                    plan.gray_factor,
-                    deadline_scale_milli,
-                    tick,
-                );
-                let idx = usize::try_from(request.id).expect("request id fits usize");
-                match decision {
-                    Admission::Enqueued(flight) => {
-                        if let Some(tel) = telemetry.as_deref_mut() {
-                            tel.tracer.record(
-                                tick,
-                                Event::RequestAdmitted {
-                                    id: request.id,
-                                    family: fam as u32,
-                                    fidelity: flight.fidelity.to_string(),
-                                },
-                            );
-                        }
-                        in_flight[idx] = Some(flight);
-                    }
-                    Admission::Immediate(disposition, penalty, gate) => {
-                        if let Disposition::Shed { .. } = disposition {
-                            per_family[fam].shed += 1;
-                            hard += 1;
-                        } else {
-                            per_family[fam].served_cached += 1;
-                        }
-                        if let Some(tel) = telemetry.as_deref_mut() {
-                            match &disposition {
-                                Disposition::Shed { reason } => {
-                                    tel.tracer.record(
-                                        tick,
-                                        Event::RequestShed {
-                                            id: request.id,
-                                            family: fam as u32,
-                                            reason: reason.to_string(),
-                                        },
-                                    );
-                                    tel.trajectory.charge(DeficitCause::Shed, penalty);
-                                }
-                                Disposition::Served { latency, .. } => {
-                                    tel.tracer.record(
-                                        tick,
-                                        Event::RequestServed {
-                                            id: request.id,
-                                            family: fam as u32,
-                                            fidelity: Fidelity::Cached.to_string(),
-                                            latency: *latency,
-                                        },
-                                    );
-                                    tel.tracer
-                                        .record(tick, Event::CacheHit { family: fam as u32 });
-                                    tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                                }
-                                Disposition::Failed { .. } => {
-                                    unreachable!("admission never fails a request")
-                                }
-                            }
-                            let outcome = match &disposition {
-                                Disposition::Shed { reason } => SketchOutcome::Shed {
-                                    reason: reason.to_string(),
-                                },
-                                Disposition::Served { latency, .. } => SketchOutcome::Served {
-                                    fidelity: Fidelity::Cached.to_string(),
-                                    latency: *latency,
-                                    fallback: false,
-                                },
-                                Disposition::Failed { .. } => unreachable!(),
-                            };
-                            tel.causal.record(&RequestSketch {
-                                trial: 0,
-                                id: request.id,
-                                family: fam as u32,
-                                arrival: request.arrival,
-                                deadline: request.deadline.saturating_mul(deadline_scale_milli)
-                                    / 1000,
-                                decided_at: tick,
-                                outcome,
-                                attempts: Vec::new(),
-                                gate,
-                            });
-                            tel.incidents.observe(fam as u32, request.id);
-                        }
-                        outcomes[idx] = Some(RequestOutcome {
-                            id: request.id,
-                            family: fam,
-                            decided_at: tick,
-                            disposition,
-                        });
-                        deficit += penalty;
-                        adjudicated += 1;
-                        pending -= 1;
-                    }
-                }
+                self.arrive(request, tick);
             }
 
-            // --- 3. Sample Q(t); feed the self-scored controller. ----
+            // --- 3. Sample Q(t); feed the self-scored controllers. ---
+            let adjudicated = self.adjudicated;
             let q = if adjudicated == 0 {
                 FULL_QUALITY
             } else {
-                FULL_QUALITY * (1.0 - deficit / adjudicated as f64)
+                FULL_QUALITY * (1.0 - self.deficit / adjudicated as f64)
             };
-            quality.push(q);
-            let occupancy = bulkheads
+            self.quality.push(q);
+            let occupancy = self
+                .sets
                 .iter()
-                .map(Bulkhead::occupancy)
+                .map(ReplicaSet::occupancy)
                 .fold(0.0f64, f64::max);
             let hard_deficit = if adjudicated == 0 {
                 0.0
             } else {
-                hard as f64 / adjudicated as f64
+                self.hard as f64 / adjudicated as f64
             };
             if cfg.degradation {
                 // `pressure_bias` is the anticipatory provisioning
                 // estimate (0 in Normal): the dimmer steers by the
                 // larger of what is being lost now and what the loss
                 // distribution says to provision for.
-                brownout.observe(tick, hard_deficit.max(pressure_bias), occupancy);
+                self.brownout
+                    .observe(tick, hard_deficit.max(pressure_bias), occupancy);
             }
             if let Some((controller, losses)) = anticipation.as_mut() {
-                if adjudicated > 0 && deficit > 0.0 {
-                    losses.record(deficit / adjudicated as f64);
+                if adjudicated > 0 && self.deficit > 0.0 {
+                    losses.record(self.deficit / adjudicated as f64);
                 }
                 let before = controller.mode();
                 let mode = controller.observe(tick, hard_deficit.max(occupancy));
                 warning_scores.push(controller.score_milli());
                 if mode != before {
                     let acfg = controller.config();
-                    let policy = acfg.policy(mode).clone();
-                    let (quantile_milli, heavy_alpha) =
-                        (acfg.quantile_milli, acfg.heavy_tail_alpha);
-                    brownout.set_floor(tick, policy.brownout_floor);
-                    brownout.set_ceiling(tick, policy.brownout_ceiling);
-                    let cooldown = cfg
-                        .breaker_cooldown
-                        .saturating_mul(policy.cooldown_scale_milli)
-                        / 1000;
-                    for breaker in breakers.iter_mut() {
-                        breaker.set_cooldown(cooldown);
-                    }
-                    deadline_scale_milli = policy.deadline_scale_milli;
+                    self.apply_policy(tick, acfg.policy(mode));
                     // Provisioning is re-estimated at mode changes (not
                     // every tick): the quantile sort stays off the hot
                     // path and the bias is constant within a mode.
                     pressure_bias = match mode {
                         OperatingMode::Normal => 0.0,
                         _ => losses
-                            .provision(policy.provisioning, quantile_milli, heavy_alpha)
+                            .provision(
+                                acfg.policy(mode).provisioning,
+                                acfg.quantile_milli,
+                                acfg.heavy_tail_alpha,
+                            )
                             .clamp(0.0, 1.0),
                     };
                 }
             }
-            if let Some(tel) = telemetry.as_deref_mut() {
+            if let Some(tel) = self.tel.as_deref_mut() {
                 // State-machine events surfaced once per change, in
-                // family order — all at the current tick, so the lane-0
-                // buffer stays tick-ordered.
-                for (fam, breaker) in breakers.iter().enumerate() {
-                    let all = breaker.transitions();
-                    for t in &all[seen_transitions[fam]..] {
-                        tel.tracer.record(
-                            tick,
-                            Event::BreakerTransition {
-                                family: fam as u32,
-                                from: t.from.to_string(),
-                                to: t.to.to_string(),
-                            },
-                        );
+                // (family, replica) order — all at the current tick, so
+                // the lane-0 buffer stays tick-ordered.
+                for (fam, set) in self.sets.iter().enumerate() {
+                    for (r, breaker) in set.breakers.iter().enumerate() {
+                        let all = breaker.transitions();
+                        for t in &all[seen_transitions[fam][r]..] {
+                            tel.tracer.record(
+                                tick,
+                                Event::BreakerTransition {
+                                    family: fam as u32,
+                                    from: t.from.to_string(),
+                                    to: t.to.to_string(),
+                                },
+                            );
+                        }
+                        seen_transitions[fam][r] = all.len();
                     }
-                    seen_transitions[fam] = all.len();
                 }
-                for &(_, level) in &brownout.history()[seen_brownout..] {
+                for &(_, level) in &self.brownout.history()[seen_brownout..] {
                     tel.tracer
                         .record(tick, Event::BrownoutLevelChange { level });
                 }
-                seen_brownout = brownout.history().len();
+                seen_brownout = self.brownout.history().len();
                 if let Some((controller, _)) = anticipation.as_ref() {
                     for t in &controller.transitions()[seen_modes..] {
                         tel.tracer.record(
@@ -786,22 +759,22 @@ impl ServiceEngine {
                         last_warning = Some(score);
                     }
                 }
-                for (fam, b) in bulkheads.iter().enumerate() {
-                    let queued = b.queued();
+                for (fam, set) in self.sets.iter().enumerate() {
+                    let (queued, capacity) = set.queued_and_capacity();
                     if last_queued[fam] != Some(queued) {
                         tel.tracer.record(
                             tick,
                             Event::BulkheadOccupancy {
                                 family: fam as u32,
                                 queued: queued as u32,
-                                capacity: b.capacity() as u32,
+                                capacity: capacity as u32,
                             },
                         );
                         last_queued[fam] = Some(queued);
                     }
                 }
                 // The observer accumulated the same penalties in the
-                // same order as `deficit` above, so its sample is
+                // same order as `deficit`, so its sample is
                 // bit-identical to the engine's own.
                 let observed = tel.trajectory.end_tick(adjudicated);
                 debug_assert_eq!(observed.to_bits(), q.to_bits());
@@ -809,10 +782,10 @@ impl ServiceEngine {
             tick += 1;
         }
 
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request adjudicated"))
-            .collect();
+        for (stats, budget) in self.rstats.iter_mut().zip(&self.budgets) {
+            stats.budget_spent = budget.spent();
+            stats.budget_exhausted = budget.exhausted();
+        }
         let (mode_transitions, alert_ticks, emergency_ticks) = match &anticipation {
             Some((controller, _)) => (
                 controller.transitions().to_vec(),
@@ -822,20 +795,28 @@ impl ServiceEngine {
             None => (Vec::new(), 0, 0),
         };
         let report = ServiceReport {
-            outcomes,
-            per_family,
-            breaker_transitions: breakers.iter().map(|b| b.transitions().to_vec()).collect(),
-            brownout_history: brownout.history().to_vec(),
+            outcomes: self
+                .outcomes
+                .into_iter()
+                .map(|o| o.expect("every request adjudicated"))
+                .collect(),
+            per_family: self.per_family,
+            breaker_transitions: self.sets.iter().map(ReplicaSet::transitions).collect(),
+            brownout_history: self.brownout.history().to_vec(),
             mode_transitions,
             warning_scores,
             alert_ticks,
             emergency_ticks,
-            replica_log: Vec::new(),
-            replica_stats: Vec::new(),
-            quality,
+            replica_log: self.replica_log.into_iter().flatten().collect(),
+            replica_stats: if self.replicated {
+                self.rstats
+            } else {
+                Vec::new()
+            },
+            quality: self.quality,
             ticks: tick,
         };
-        if let Some(tel) = telemetry {
+        if let Some(tel) = self.tel {
             record_service_metrics(&mut tel.metrics, &report);
             if !tel.causal.is_empty() {
                 resilience_telemetry::record_causal_metrics(&mut tel.metrics, &tel.causal);
@@ -846,228 +827,641 @@ impl ServiceEngine {
         report
     }
 
-    /// Admission control for one arrival. Returns either the in-flight
-    /// record (enqueued on the bulkhead) or an immediate disposition
-    /// (cached answer or shed) plus its quality penalty.
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &self,
-        bulkhead: &mut Bulkhead,
-        breaker: &mut CircuitBreaker,
-        brownout: &BrownoutController,
-        request: &Request,
-        fault: Option<SlotFault>,
-        cached_value: u64,
-        delay_work: u64,
-        gray_factor: u64,
-        deadline_scale_milli: u64,
-        tick: u64,
-    ) -> Admission {
-        let cfg = &self.config;
-        let fault_kind = fault.map(|f| f.kind);
+    /// Put an anticipation mode's policy set in force: brownout floor
+    /// and ceiling, every replica breaker's cooldown, and the admission
+    /// deadline scale.
+    fn apply_policy(&mut self, tick: u64, policy: &ModePolicy) {
+        self.brownout.set_floor(tick, policy.brownout_floor);
+        self.brownout.set_ceiling(tick, policy.brownout_ceiling);
+        let cooldown = self
+            .cfg
+            .breaker_cooldown
+            .saturating_mul(policy.cooldown_scale_milli)
+            / 1000;
+        for breaker in self.sets.iter_mut().flat_map(|s| s.breakers.iter_mut()) {
+            breaker.set_cooldown(cooldown);
+        }
+        self.deadline_scale_milli = policy.deadline_scale_milli;
+    }
+
+    /// One arrival: admit it to a replica or decide it on the spot.
+    fn arrive(&mut self, request: Request, tick: u64) {
+        let fam = request.family.min(self.sets.len() - 1);
+        self.per_family[fam].arrivals += 1;
         // The anticipation policy in force may tighten deadlines
         // (scale < 1000): marginal requests degrade or shed at
         // admission instead of piling onto queues the warning says are
         // about to stop draining. Integer milli-scaling keeps the
         // effective deadline a pure function of logical state.
-        let deadline = request.deadline.saturating_mul(deadline_scale_milli) / 1000;
+        let deadline = request.deadline.saturating_mul(self.deadline_scale_milli) / 1000;
+        if let Some((disposition, penalty, gate)) = self.admit(&request, fam, deadline, tick) {
+            let how = Resolution::Admission(gate);
+            self.decide(&request, fam, deadline, tick, disposition, penalty, how);
+        }
+    }
 
-        // Breaker gate first: a tripped backend accepts no new work.
-        if !breaker.allow(tick) {
-            return if cfg.degradation {
+    /// Admission control for one arrival: breaker gates (every replica,
+    /// in index order) → brownout level → queue room → deadline
+    /// feasibility, then route the primary to the best-ranked replica
+    /// that fits and possibly launch a hedge. Returns the immediate
+    /// disposition (cached answer or shed) with its penalty and, for
+    /// sheds, the gate evidence the critical-path extractor blames — or
+    /// `None` when the request was dispatched.
+    fn admit(
+        &mut self,
+        request: &Request,
+        fam: usize,
+        deadline: u64,
+        tick: u64,
+    ) -> Option<(Disposition, f64, Option<ShedGate>)> {
+        let cfg = self.cfg;
+        let cached = (
+            Disposition::Served {
+                fidelity: Fidelity::Cached,
+                latency: 0,
+                value: self.cached_values[fam],
+            },
+            cfg.cached_penalty,
+            None,
+        );
+        // The gate is mutating: a half-open breaker admits exactly one
+        // probe.
+        self.allowed.clear();
+        for breaker in self.sets[fam].breakers.iter_mut() {
+            self.allowed.push(breaker.allow(tick));
+        }
+        if !self.allowed.contains(&true) {
+            if cfg.degradation {
                 // Brownout the failure: answer from cache rather than
                 // turning the caller away.
-                Admission::Immediate(
-                    Disposition::Served {
-                        fidelity: Fidelity::Cached,
-                        latency: 0,
-                        value: cached_value,
-                    },
-                    cfg.cached_penalty,
-                    None,
-                )
-            } else {
-                Admission::Immediate(
-                    Disposition::Shed {
-                        reason: ShedReason::BreakerOpen,
-                    },
-                    1.0,
-                    Some(ShedGate::BreakerOpen {
-                        open_since: last_open_tick(breaker),
-                    }),
-                )
-            };
+                return Some(cached);
+            }
+            // Dwell anchor: the lock-out became total when the last
+            // replica's breaker opened.
+            let open_since = self.sets[fam]
+                .breakers
+                .iter()
+                .filter_map(last_open_tick)
+                .max();
+            return Some((
+                Disposition::Shed {
+                    reason: ShedReason::BreakerOpen,
+                },
+                1.0,
+                Some(ShedGate::BreakerOpen { open_since }),
+            ));
         }
 
         // Candidate fidelities, cheapest-last: the dimmer level picks
         // the starting fidelity; under pressure admission may degrade
         // one step further to fit the deadline, and level 2 answers
         // from cache outright.
-        let level = if cfg.degradation { brownout.level() } else { 0 };
-        if cfg.degradation && level >= 2 {
-            return Admission::Immediate(
-                Disposition::Served {
-                    fidelity: Fidelity::Cached,
-                    latency: 0,
-                    value: cached_value,
-                },
-                cfg.cached_penalty,
-                None,
-            );
-        }
-        let mut candidates: Vec<Fidelity> = Vec::with_capacity(2);
-        if level == 0 {
-            candidates.push(Fidelity::Full);
-        }
-        if cfg.degradation && level <= 1 {
-            candidates.push(Fidelity::Reduced);
-        }
+        let candidates: &[Fidelity] = match (cfg.degradation, self.brownout.level()) {
+            (false, _) => &[Fidelity::Full],
+            (true, 0) => &[Fidelity::Full, Fidelity::Reduced],
+            (true, 1) => &[Fidelity::Reduced],
+            (true, _) => return Some(cached),
+        };
 
+        // Family-aggregate drain rate: the blame model for gate sheds
+        // reasons about the family's total capacity.
         let aggregate_rate = cfg.rate_per_server * cfg.servers_per_family as u64;
-        if bulkhead.queue_full() {
-            return Admission::Immediate(
+        ReplicaRouter::rank_into(&self.sets[fam], &self.allowed, tick, &mut self.ranked);
+        if self.ranked.is_empty() {
+            return Some((
                 Disposition::Shed {
                     reason: ShedReason::QueueFull,
                 },
                 1.0,
                 Some(ShedGate::QueueFull {
-                    backlog: bulkhead.backlog(),
+                    backlog: self.sets[fam].backlog(),
                     aggregate_rate,
                 }),
-            );
+            ));
+        }
+        self.draws.clear();
+        for i in 0..self.ranked.len() {
+            let draw = self.draw(fam, request.id, self.ranked[i]);
+            self.draws.push(draw);
         }
         let mut last_candidate = (0u64, 0u64); // (base work, inflated work)
-        for fidelity in candidates {
-            let effective = Self::effective_work(cfg, request.cost, fidelity);
-            let work = effective
-                + match fault_kind {
-                    Some(FaultKind::Delay) => delay_work,
-                    // A gray backend still answers, just slower: its
-                    // work is inflated, not its correctness.
-                    Some(FaultKind::Gray) => effective.saturating_mul(gray_factor.max(1) - 1),
-                    _ => 0,
-                };
-            if bulkhead.estimated_completion_ticks(work) <= deadline {
-                bulkhead.admit(Job {
-                    id: request.id,
-                    work,
-                });
-                breaker.on_admitted();
-                return Admission::Enqueued(InFlight {
-                    request: *request,
+        for &fidelity in candidates {
+            let base_work = ServiceEngine::effective_work(cfg, request.cost, fidelity);
+            for i in 0..self.ranked.len() {
+                let (r, (fault, correlated)) = (self.ranked[i], self.draws[i]);
+                let work = self.inflate(base_work, fault);
+                let est = self.sets[fam].bulkheads[r as usize].estimated_completion_ticks(work);
+                if est > deadline {
+                    last_candidate = (base_work, work);
+                    continue;
+                }
+                let primary = Attempt {
+                    replica: r,
+                    kind: AttemptKind::Primary,
                     fidelity,
-                    fault: fault_kind,
+                    fault,
+                    correlated,
                     enqueued: tick,
-                    deadline,
-                    base_work: effective,
+                    base_work,
                     work,
-                });
+                };
+                self.dispatch(fam, request.id, &primary);
+                if let Some(tel) = self.tel.as_deref_mut() {
+                    if self.replicated {
+                        tel.tracer.record(
+                            tick,
+                            Event::ReplicaRouted {
+                                id: request.id,
+                                family: fam as u32,
+                                replica: r,
+                            },
+                        );
+                    }
+                    tel.tracer.record(
+                        tick,
+                        Event::RequestAdmitted {
+                            id: request.id,
+                            family: fam as u32,
+                            fidelity: fidelity.to_string(),
+                        },
+                    );
+                }
+                let mut flight = Flight {
+                    request: *request,
+                    deadline,
+                    live: [Some(primary), None],
+                    hedged: false,
+                    failed_over: false,
+                };
+                self.maybe_hedge(&mut flight, fam, est, tick);
+                self.flights[slot_of(request.id)] = Some(flight);
+                return None;
             }
-            last_candidate = (effective, work);
         }
-        Admission::Immediate(
+        Some((
             Disposition::Shed {
                 reason: ShedReason::DeadlineUnmeetable,
             },
             1.0,
             Some(ShedGate::DeadlineUnmeetable {
-                backlog: bulkhead.backlog(),
+                backlog: self.sets[fam].backlog(),
                 aggregate_rate,
                 base_work: last_candidate.0,
                 work: last_candidate.1,
             }),
+        ))
+    }
+
+    /// Launch a hedge attempt when the primary's projected completion
+    /// eats more than `hedge_fraction_milli` of the deadline. Probe
+    /// safety: both the primary and the hedge target must *peek*
+    /// Closed — hedging a half-open probe (or onto one) could cancel
+    /// the probe and wedge the breaker's half-open state forever.
+    fn maybe_hedge(&mut self, flight: &mut Flight, fam: usize, primary_est: u64, tick: u64) {
+        let primary = flight.live[0].expect("a fresh flight carries its primary");
+        if self.sets[fam].len() < 2
+            || primary_est.saturating_mul(1000)
+                <= self.hedge_fraction_milli.saturating_mul(flight.deadline)
+            || self.sets[fam].breakers[primary.replica as usize].peek_state(tick)
+                != BreakerState::Closed
+        {
+            return;
+        }
+        let Some(hedge) = self.spare(
+            fam,
+            &flight.request,
+            primary.fidelity,
+            flight.deadline,
+            tick,
+            primary.replica,
+            AttemptKind::Hedge,
+        ) else {
+            return;
+        };
+        if !self.budgets[fam].try_spend() {
+            self.record_exhausted(tick, fam, "hedge");
+            return;
+        }
+        self.dispatch(fam, flight.request.id, &hedge);
+        self.rstats[fam].hedges_launched += 1;
+        if let Some(tel) = self.tel.as_deref_mut() {
+            tel.tracer.record(
+                tick,
+                Event::HedgeLaunched {
+                    id: flight.request.id,
+                    family: fam as u32,
+                    replica: hedge.replica,
+                },
+            );
+        }
+        flight.live[1] = Some(hedge);
+        flight.hedged = true;
+    }
+
+    /// A spare replica for a hedge or failover: peek-Closed (never
+    /// disturb a half-open probe), not `exclude`, queue room, and a
+    /// completion estimate inside `deadline` ticks from now — ranked by
+    /// the router's load-aware key.
+    #[allow(clippy::too_many_arguments)]
+    fn spare(
+        &mut self,
+        fam: usize,
+        request: &Request,
+        fidelity: Fidelity,
+        deadline: u64,
+        tick: u64,
+        exclude: u32,
+        kind: AttemptKind,
+    ) -> Option<Attempt> {
+        let set = &self.sets[fam];
+        self.allowed.clear();
+        for (r, breaker) in set.breakers.iter().enumerate() {
+            self.allowed
+                .push(r != exclude as usize && breaker.peek_state(tick) == BreakerState::Closed);
+        }
+        ReplicaRouter::rank_into(set, &self.allowed, tick, &mut self.ranked);
+        let base_work = ServiceEngine::effective_work(self.cfg, request.cost, fidelity);
+        for i in 0..self.ranked.len() {
+            let r = self.ranked[i];
+            let (fault, correlated) = self.draw(fam, request.id, r);
+            let work = self.inflate(base_work, fault);
+            if self.sets[fam].bulkheads[r as usize].estimated_completion_ticks(work) <= deadline {
+                return Some(Attempt {
+                    replica: r,
+                    kind,
+                    fidelity,
+                    fault,
+                    correlated,
+                    enqueued: tick,
+                    base_work,
+                    work,
+                });
+            }
+        }
+        None
+    }
+
+    /// The fault and correlated-blast draws of request `id` on
+    /// `replica` — a pure function of the plan, the trace identity and,
+    /// with replication, the replica and its diversity class.
+    fn draw(&self, fam: usize, id: u64, replica: u32) -> (Option<FaultKind>, bool) {
+        let (label, seed) = (&self.trace.families[fam], self.trace.seed);
+        if !self.replicated {
+            return (self.plan.slot_fault(label, seed, id).map(|f| f.kind), false);
+        }
+        (
+            self.plan
+                .replica_fault(label, seed, id, replica)
+                .map(|f| f.kind),
+            self.plan
+                .correlated_hit(label, seed, id, self.sets[fam].class_of(replica)),
         )
     }
 
-    /// Adjudicate a logically-completed request: run (or skip) the
-    /// backend computation, consult the fault plan, update the breaker,
-    /// and produce the disposition plus its quality penalty.
-    fn adjudicate(
-        &self,
-        pool: &ParallelTrials,
-        backend_master: u64,
-        cached_values: &[u64],
-        breakers: &mut [CircuitBreaker],
-        flight: &InFlight,
-        tick: u64,
-    ) -> (Disposition, f64) {
-        let cfg = &self.config;
-        let request = &flight.request;
-        let fam = request.family.min(breakers.len() - 1);
+    /// Scheduled work after fault inflation: delay faults add the
+    /// plan's fixed delay work; a gray backend still answers, just
+    /// slower, so its work is multiplied by `gray_factor`.
+    fn inflate(&self, base_work: u64, fault: Option<FaultKind>) -> u64 {
+        base_work
+            + match fault {
+                Some(FaultKind::Delay) => self.delay_work,
+                Some(FaultKind::Gray) => base_work.saturating_mul(self.plan.gray_factor.max(1) - 1),
+                _ => 0,
+            }
+    }
+
+    /// Enqueue `attempt` on its replica and count it.
+    fn dispatch(&mut self, fam: usize, id: u64, attempt: &Attempt) {
+        let r = attempt.replica as usize;
+        self.sets[fam].bulkheads[r].admit(Job {
+            id,
+            work: attempt.work,
+        });
+        self.sets[fam].breakers[r].on_admitted();
+        let stats = &mut self.rstats[fam];
+        stats.routed += 1;
+        stats.correlated_hits += u64::from(attempt.correlated);
+        stats.gray_slots += u64::from(attempt.fault == Some(FaultKind::Gray));
+    }
+
+    fn record_exhausted(&mut self, tick: u64, fam: usize, kind: &str) {
+        if let Some(tel) = self.tel.as_deref_mut() {
+            tel.tracer.record(
+                tick,
+                Event::RetryBudgetExhausted {
+                    family: fam as u32,
+                    kind: kind.to_string(),
+                },
+            );
+        }
+    }
+
+    /// Adjudicate one completed attempt of request `id` on `replica`:
+    /// the first success wins and its sibling is cancelled; a death
+    /// keeps the sibling racing, fails over once, or falls back to the
+    /// cached answer (a hard failure with degradation off).
+    fn complete(&mut self, fam: usize, replica: u32, id: u64, tick: u64) {
+        let idx = slot_of(id);
+        let Some(mut flight) = self.flights[idx] else {
+            // The sibling attempt won earlier this same tick; this
+            // completion is an orphan and must not touch the breaker.
+            return;
+        };
+        let cfg = self.cfg;
+        let request = flight.request;
         let latency = tick.saturating_sub(request.arrival);
-        match flight.fault {
-            Some(FaultKind::Panic) | Some(FaultKind::Poison) => {
-                breakers[fam].record_failure(tick);
-                let cause = match flight.fault {
-                    Some(FaultKind::Panic) => "backend-panic",
-                    _ => "poisoned-result",
-                };
-                if cfg.degradation {
-                    // Graceful fallback: the cached table answers for
-                    // the broken backend; degraded, never an error.
-                    (
-                        Disposition::Served {
-                            fidelity: Fidelity::Cached,
-                            latency,
-                            value: cached_values[fam],
+        let pos = flight
+            .live
+            .iter()
+            .position(|a| a.is_some_and(|a| a.replica == replica))
+            .expect("completed job has a live attempt");
+        let slot = flight.live[pos].take().expect("position found it");
+        let sibling = flight.live[1 - pos];
+
+        if !slot.dies() {
+            self.flights[idx] = None;
+            self.sets[fam].breakers[replica as usize].record_success(tick);
+            let value = ServiceEngine::backend_value(
+                &self.pool,
+                derive_seed(self.backend_master, id),
+                slot.base_work * cfg.trials_per_work_unit,
+            );
+            // First success wins: reclaim the loser's unfinished work.
+            let reclaimed = sibling
+                .and_then(|other| self.sets[fam].bulkheads[other.replica as usize].cancel(id))
+                .map_or(0, |job| job.work);
+            self.rstats[fam].reclaimed_work += reclaimed;
+            let hedge_won = slot.kind == AttemptKind::Hedge;
+            if hedge_won {
+                self.rstats[fam].hedges_won += 1;
+                if let Some(tel) = self.tel.as_deref_mut() {
+                    tel.tracer.record(
+                        tick,
+                        Event::HedgeWon {
+                            id,
+                            family: fam as u32,
+                            replica,
+                            reclaimed,
                         },
-                        cfg.cached_penalty,
-                    )
-                } else {
-                    (
-                        Disposition::Failed {
-                            cause: cause.to_string(),
-                        },
-                        1.0,
-                    )
+                    );
                 }
             }
-            // Delay and gray faults only inflate the logical service
-            // time (added at admission); the computation itself is
-            // healthy — a gray backend is slow, not wrong, which is
-            // exactly why the breaker never sees it.
-            Some(FaultKind::Delay) | Some(FaultKind::Gray) | None => {
-                breakers[fam].record_success(tick);
-                let trials = Self::effective_work(cfg, request.cost, flight.fidelity)
-                    * cfg.trials_per_work_unit;
-                let value =
-                    Self::backend_value(pool, derive_seed(backend_master, request.id), trials);
-                (
-                    Disposition::Served {
-                        fidelity: flight.fidelity,
-                        latency,
-                        value,
-                    },
-                    match flight.fidelity {
-                        Fidelity::Full => 0.0,
-                        Fidelity::Reduced => cfg.reduced_penalty,
-                        Fidelity::Cached => cfg.cached_penalty,
-                    },
-                )
+            if self.replicated {
+                self.replica_log[idx] = Some(ReplicaOutcome {
+                    id,
+                    replica,
+                    hedged: flight.hedged,
+                    hedge_won,
+                    failed_over: flight.failed_over,
+                });
+            }
+            let penalty = match slot.fidelity {
+                Fidelity::Full => 0.0,
+                Fidelity::Reduced => cfg.reduced_penalty,
+                Fidelity::Cached => cfg.cached_penalty,
+            };
+            let disposition = Disposition::Served {
+                fidelity: slot.fidelity,
+                latency,
+                value,
+            };
+            let how = Resolution::Won {
+                winner: slot,
+                cancelled: sibling,
+            };
+            self.decide(
+                &request,
+                fam,
+                flight.deadline,
+                tick,
+                disposition,
+                penalty,
+                how,
+            );
+            return;
+        }
+
+        // The attempt died: record the failure, then keep racing, fail
+        // over, or fall back.
+        self.sets[fam].breakers[replica as usize].record_failure(tick);
+        if self.tel.is_some() {
+            self.dead.push((id, slot, tick));
+        }
+        if sibling.is_some() {
+            // The sibling attempt is still racing — the request's fate
+            // rides on it now.
+            self.flights[idx] = Some(flight);
+            return;
+        }
+        if !flight.failed_over && self.sets[fam].len() > 1 {
+            // Target first, token second: a hopeless failover (no
+            // viable replica) must not drain the budget.
+            let remaining = request
+                .arrival
+                .saturating_add(flight.deadline)
+                .saturating_sub(tick);
+            let target = self.spare(
+                fam,
+                &request,
+                slot.fidelity,
+                remaining,
+                tick,
+                replica,
+                AttemptKind::Failover,
+            );
+            if let Some(failover) = target {
+                if self.budgets[fam].try_spend() {
+                    self.dispatch(fam, id, &failover);
+                    self.rstats[fam].failovers += 1;
+                    if let Some(tel) = self.tel.as_deref_mut() {
+                        tel.tracer.record(
+                            tick,
+                            Event::ReplicaFailover {
+                                id,
+                                family: fam as u32,
+                                from_replica: replica,
+                                to_replica: failover.replica,
+                            },
+                        );
+                    }
+                    flight.failed_over = true;
+                    flight.live = [Some(failover), None];
+                    self.flights[idx] = Some(flight);
+                    return;
+                }
+                self.record_exhausted(tick, fam, "failover");
             }
         }
+        // No replica left to try: degrade to the cached answer, or fail
+        // hard with degradation off.
+        self.flights[idx] = None;
+        let (disposition, penalty) = if cfg.degradation {
+            (
+                Disposition::Served {
+                    fidelity: Fidelity::Cached,
+                    latency,
+                    value: self.cached_values[fam],
+                },
+                cfg.cached_penalty,
+            )
+        } else {
+            let cause = if slot.correlated {
+                "correlated-failure"
+            } else if slot.fault == Some(FaultKind::Panic) {
+                "backend-panic"
+            } else {
+                "poisoned-result"
+            };
+            (
+                Disposition::Failed {
+                    cause: cause.to_string(),
+                },
+                1.0,
+            )
+        };
+        let how = Resolution::Fallback;
+        self.decide(
+            &request,
+            fam,
+            flight.deadline,
+            tick,
+            disposition,
+            penalty,
+            how,
+        );
     }
 
-    /// Work units actually scheduled for a request at `fidelity`.
-    pub(crate) fn effective_work(cfg: &ServiceConfig, cost: u64, fidelity: Fidelity) -> u64 {
-        match fidelity {
-            Fidelity::Full => cost.max(1),
-            Fidelity::Reduced => (cost / cfg.brownout.reduced_divisor.max(1)).max(1),
-            Fidelity::Cached => 0,
+    /// Settle `request`: tally it, charge its penalty to this tick's
+    /// Q(t), log its outcome, and — when tracing — record its events,
+    /// its causal sketch over every attempt it ran, and the flight
+    /// recorder's sighting.
+    #[allow(clippy::too_many_arguments)]
+    fn decide(
+        &mut self,
+        request: &Request,
+        fam: usize,
+        deadline: u64,
+        tick: u64,
+        disposition: Disposition,
+        penalty: f64,
+        how: Resolution,
+    ) {
+        let stats = &mut self.per_family[fam];
+        match &disposition {
+            Disposition::Served { fidelity, .. } => match fidelity {
+                Fidelity::Full => stats.served_full += 1,
+                Fidelity::Reduced => stats.served_reduced += 1,
+                Fidelity::Cached => stats.served_cached += 1,
+            },
+            Disposition::Shed { .. } => {
+                stats.shed += 1;
+                self.hard += 1;
+            }
+            Disposition::Failed { .. } => {
+                stats.failed += 1;
+                self.hard += 1;
+            }
         }
-    }
-
-    /// The backend computation: an XOR fold of seeded Monte Carlo
-    /// draws on the physical thread pool — bit-identical for any thread
-    /// budget by the runtime's determinism contract.
-    pub(crate) fn backend_value(pool: &ParallelTrials, seed: u64, trials: u64) -> u64 {
-        pool.run(
-            trials,
-            seed,
-            |idx, rng| idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rng.gen::<u64>(),
-            0u64,
-            |acc, x| acc ^ x,
-        )
+        if let Some(tel) = self.tel.as_deref_mut() {
+            let (id, family) = (request.id, fam as u32);
+            let outcome = match &disposition {
+                Disposition::Served {
+                    fidelity, latency, ..
+                } => {
+                    tel.tracer.record(
+                        tick,
+                        Event::RequestServed {
+                            id,
+                            family,
+                            fidelity: fidelity.to_string(),
+                            latency: *latency,
+                        },
+                    );
+                    tel.tracer.record(
+                        tick,
+                        match fidelity {
+                            Fidelity::Cached => Event::CacheHit { family },
+                            _ => Event::CacheMiss { family },
+                        },
+                    );
+                    tel.trajectory.charge(DeficitCause::Degraded, penalty);
+                    SketchOutcome::Served {
+                        fidelity: fidelity.to_string(),
+                        latency: *latency,
+                        fallback: matches!(how, Resolution::Fallback),
+                    }
+                }
+                Disposition::Shed { reason } => {
+                    tel.tracer.record(
+                        tick,
+                        Event::RequestShed {
+                            id,
+                            family,
+                            reason: reason.to_string(),
+                        },
+                    );
+                    tel.trajectory.charge(DeficitCause::Shed, penalty);
+                    SketchOutcome::Shed {
+                        reason: reason.to_string(),
+                    }
+                }
+                Disposition::Failed { cause } => {
+                    tel.tracer.record(
+                        tick,
+                        Event::RequestFailed {
+                            id,
+                            family,
+                            cause: cause.clone(),
+                        },
+                    );
+                    tel.trajectory.charge(DeficitCause::Failed, penalty);
+                    SketchOutcome::Failed {
+                        cause: cause.clone(),
+                    }
+                }
+            };
+            // Dead attempts failed at their death tick, the winner won
+            // now, a cancelled loser carries no completion tick.
+            let rate = self.cfg.rate_per_server;
+            let mut attempts = Vec::new();
+            self.dead.retain(|&(owner, attempt, died)| {
+                if owner == id {
+                    attempts.push(attempt.sketch(rate, Some(died), false, true));
+                }
+                owner != id
+            });
+            let mut gate = None;
+            match how {
+                Resolution::Admission(g) => gate = g,
+                Resolution::Won { winner, cancelled } => {
+                    attempts.push(winner.sketch(rate, Some(tick), true, false));
+                    attempts.extend(cancelled.map(|a| a.sketch(rate, None, false, false)));
+                }
+                Resolution::Fallback => {}
+            }
+            attempts.sort_by_key(|a| (a.enqueued, a.replica));
+            tel.causal.record(&RequestSketch {
+                trial: 0,
+                id,
+                family,
+                arrival: request.arrival,
+                deadline,
+                decided_at: tick,
+                outcome,
+                attempts,
+                gate,
+            });
+            tel.incidents.observe(family, id);
+        }
+        self.outcomes[slot_of(request.id)] = Some(RequestOutcome {
+            id: request.id,
+            family: fam,
+            decided_at: tick,
+            disposition,
+        });
+        self.deficit += penalty;
+        self.adjudicated += 1;
+        self.pending -= 1;
     }
 }
 
@@ -1246,18 +1640,14 @@ pub fn record_service_metrics(
     }
 }
 
-/// Outcome of admission control for one arrival.
-enum Admission {
-    /// Admitted to the bulkhead; will complete on a later tick.
-    Enqueued(InFlight),
-    /// Decided on the spot (cached answer or shed) with its penalty and,
-    /// for sheds, the gate evidence the critical-path extractor blames.
-    Immediate(Disposition, f64, Option<ShedGate>),
+/// The per-request slot of request `id` in the outcome and flight logs.
+fn slot_of(id: u64) -> usize {
+    usize::try_from(id).expect("request id fits usize")
 }
 
 /// Tick the breaker last entered `Open`, if it ever has — the dwell
 /// anchor the extractor blames breaker-open sheds on.
-pub(crate) fn last_open_tick(breaker: &CircuitBreaker) -> Option<u64> {
+fn last_open_tick(breaker: &CircuitBreaker) -> Option<u64> {
     breaker
         .transitions()
         .iter()

@@ -17,9 +17,14 @@
 //! * [`brownout`] — a self-scored dimmer: its pressure signal is the
 //!   same per-tick quality deficit that the Bruneau integral scores, so
 //!   the controller steers by the metric it is judged on.
-//! * [`engine`] — the admission-control tick loop composing all of the
-//!   above over the deterministic parallel runtime, producing a
-//!   [`ServiceReport`] with the run's Q(t) trajectory and `R`.
+//! * [`replica`] — per-family replica sets with deterministic
+//!   load-aware routing, hedging, failover, retry budgets, and
+//!   diversity classes.
+//! * [`engine`] — the one admission-control tick loop composing all of
+//!   the above (plus the optional anticipation loop) over the
+//!   deterministic parallel runtime, producing a [`ServiceReport`] with
+//!   the run's Q(t) trajectory and `R`. Every configuration runs through
+//!   it: without replication each family is a set of one replica.
 //!
 //! Everything is driven by a logical clock and seeded randomness: a run
 //! under a given trace and [`FaultPlan`](resilience_core::faults::FaultPlan)

@@ -7,10 +7,12 @@
 //! exhaustion must degrade to single-attempt serving instead of
 //! hard-failing.
 
+use resilience_anticipate::AnticipationConfig;
 use resilience_core::faults::FaultPlan;
 use resilience_service::{
     ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
 };
+use resilience_telemetry::Telemetry;
 
 /// A config whose aggregate capacity (4 servers, 16 queue slots per
 /// family) divides evenly across 1 or 2 replicas, so the N sweep
@@ -235,4 +237,83 @@ fn replica_log_is_consistent_with_the_outcome_log() {
         hedges_won,
         "per-request hedge wins must reconcile with the family tallies"
     );
+}
+
+/// Anticipation steering a diverse replica pair: both layers active in
+/// one engine.
+fn anticipatory_replicated(replicas: usize, threads: usize) -> ServiceConfig {
+    ServiceConfig {
+        anticipation: Some(AnticipationConfig::default()),
+        ..replicated_config(replicas, vec![], threads)
+    }
+}
+
+#[test]
+fn anticipation_composes_with_replication() {
+    let trace = moderate_trace(42);
+    let plan = correlated_chaos();
+    let report = run(anticipatory_replicated(2, 1), &trace, &plan);
+    assert_eq!(report.total(), trace.len() as u64);
+    assert_eq!(report.outcomes.len(), trace.len());
+    assert_eq!(report.failed(), 0, "faults become fallbacks, never errors");
+    assert_eq!(
+        report.served() + report.shed(),
+        report.total(),
+        "every request is served at some fidelity or explicitly shed"
+    );
+    assert!(
+        report.shed_rate() < 0.05,
+        "shed rate {}",
+        report.shed_rate()
+    );
+    assert!(report.resilience_loss().is_finite());
+    let reactive = run(replicated_config(2, vec![], 1), &trace, &plan);
+    assert!(
+        report.resilience_loss() < reactive.resilience_loss(),
+        "anticipation must shrink the diverse pair's triangle: {} vs {}",
+        report.resilience_loss(),
+        reactive.resilience_loss()
+    );
+    assert!(report.replication_active());
+    assert_eq!(report.warning_scores.len() as u64, report.ticks);
+    assert!(
+        report.failovers() > 0,
+        "correlated chaos exercises failover"
+    );
+    for s in &report.replica_stats {
+        assert_eq!(s.hedges_launched + s.failovers, s.budget_spent);
+    }
+
+    let json = serde_json::to_string(&report).expect("report serializes");
+    let threaded = run(anticipatory_replicated(2, 4), &trace, &plan);
+    assert_eq!(
+        json,
+        serde_json::to_string(&threaded).expect("report serializes"),
+        "threads=4: serialized report must be byte-identical"
+    );
+
+    let mut tel = Telemetry::new(1.0);
+    let traced =
+        ServiceEngine::new(anticipatory_replicated(2, 1)).serve_traced(&trace, &plan, &mut tel);
+    assert_eq!(report, traced, "tracing observes, never steers");
+}
+
+#[test]
+fn anticipation_with_one_quiet_replica_matches_anticipation_alone() {
+    let trace = RequestTrace::generate(&TraceSpec::new(500, 42));
+    let plan = FaultPlan::none();
+    let alone = run(
+        ServiceConfig {
+            servers_per_family: 4,
+            anticipation: Some(AnticipationConfig::default()),
+            ..ServiceConfig::default()
+        },
+        &trace,
+        &plan,
+    );
+    let replicated = run(anticipatory_replicated(1, 1), &trace, &plan);
+    assert_eq!(alone.outcomes, replicated.outcomes);
+    assert_eq!(alone.quality, replicated.quality);
+    assert_eq!(alone.mode_transitions, replicated.mode_transitions);
+    assert_eq!(alone.warning_scores, replicated.warning_scores);
 }

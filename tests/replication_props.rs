@@ -149,7 +149,7 @@ proptest! {
         prop_assert!(wins <= launched, "wins cannot exceed launches");
     }
 
-    /// `N = 1` replication under a quiet plan is the legacy serve path:
+    /// `N = 1` replication under a quiet plan is the unreplicated serve:
     /// identical outcomes, tallies, and quality trajectory for any
     /// trace seed — the replication machinery must be pure plumbing
     /// when there is nothing to route around.
