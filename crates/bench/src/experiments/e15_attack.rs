@@ -2,7 +2,7 @@
 
 use resilience_core::seeded_rng;
 use resilience_networks::attack::{attack_sweep, AttackStrategy};
-use resilience_networks::generators::{barabasi_albert, erdos_renyi};
+use resilience_networks::graph::{barabasi_albert, erdos_renyi};
 
 use crate::table::ExperimentTable;
 use resilience_core::RunContext;

@@ -5,7 +5,7 @@
 //! failure in a limited area."
 
 use resilience_networks::cascade::ThresholdCascade;
-use resilience_networks::generators::planted_partition;
+use resilience_networks::graph::planted_partition;
 
 use crate::table::ExperimentTable;
 use resilience_core::RunContext;

@@ -15,8 +15,6 @@
 //! Tables are a pure function of the master seed: the parallel runtime
 //! (`resilience_core::runtime`) guarantees bit-identical output for any
 //! `--threads` value.
-//!
-//! Criterion benchmarks for the hot kernels live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

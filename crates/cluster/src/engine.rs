@@ -32,7 +32,7 @@
 use crate::burn::{select_most_stressed, BurnPolicy};
 use crate::cascade::{propagate, CascadeScratch, CascadeStats};
 use crate::node::NodeFleet;
-use crate::topology::{CsrTopology, TopologyKind};
+use crate::topology::{giant_size, CsrTopology, TopologyKind};
 use rand::Rng;
 use resilience_anticipate::OperatingMode;
 use resilience_core::{resilience_loss, seeded_rng, FaultKind, FaultPlan, RecoveryPolicy};
@@ -622,7 +622,7 @@ impl ClusterEngine {
 
             // 9. Score the tick.
             let alive_count = alive.count() as u64;
-            let giant = self.topology.giant_component(&alive).giant_size() as u64;
+            let giant = giant_size(&self.topology, &alive) as u64;
             report.min_giant = report.min_giant.min(giant);
             let disconnected = alive_count.saturating_sub(giant);
             obs.charge(DeficitCause::Retry, scheduled.len() as f64);
@@ -646,7 +646,7 @@ impl ClusterEngine {
         }
 
         report.final_alive = alive.count() as u64;
-        report.final_giant = self.topology.giant_component(&alive).giant_size() as u64;
+        report.final_giant = giant_size(&self.topology, &alive) as u64;
         if report.min_giant == u64::MAX {
             report.min_giant = report.final_giant;
         }

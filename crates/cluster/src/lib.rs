@@ -10,8 +10,10 @@
 //! distributions at criticality, and prescribed-burn policies scored
 //! as ΔR.
 //!
-//! * [`CsrTopology`] — compressed-sparse-row adjacency at million-node
-//!   scale; scale-free, Erdős–Rényi, and Watts–Strogatz generators.
+//! * [`CsrTopology`] — the workspace graph of `crates/networks`:
+//!   compressed-sparse-row adjacency at million-node scale with
+//!   scale-free, Erdős–Rényi, and Watts–Strogatz generators;
+//!   [`giant_size`] scores a word-packed alive-set on it.
 //! * [`NodeFleet`] — structure-of-arrays per-node service state
 //!   (baseline demand, Motter–Lai capacity, load, MAPE-K bookkeeping).
 //! * [`propagate`] — deterministic cascade waves over word-packed
@@ -70,4 +72,4 @@ pub use node::{NodeFleet, NEVER};
 pub use telemetry::{
     record_cluster_events, record_cluster_incidents, record_cluster_metrics, CASCADE_SIZE_BOUNDS,
 };
-pub use topology::{CsrTopology, GiantView, TopologyKind};
+pub use topology::{giant_size, CsrTopology, TopologyKind};

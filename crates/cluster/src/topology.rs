@@ -1,357 +1,35 @@
-//! Seeded topology generation in compressed-sparse-row form.
+//! The cluster's topology: the workspace graph of `crates/networks`.
 //!
-//! The cluster layer needs adjacency for millions of nodes, which rules
-//! out the pointer-chasing `Vec<Vec<u32>>` graphs of `crates/networks`.
-//! [`CsrTopology`] stores the neighbor lists of all nodes in one flat
-//! array indexed by per-node offsets — two allocations total, cache-dense
-//! iteration, and `degree(v)` is a subtraction.
-//!
-//! Three generator families cover the paper's §5 regimes:
-//!
-//! * **Scale-free** — Barabási–Albert preferential attachment via the
-//!   endpoint-multiset trick: every edge endpoint is pushed into a flat
-//!   vector, so sampling a uniform element of that vector is sampling a
-//!   node with probability proportional to its degree.
-//! * **Random** — Erdős–Rényi `G(n, p)` via geometric skip-sampling:
-//!   instead of flipping `n·(n−1)/2` coins we jump straight to the next
-//!   successful pair, making generation `O(edges)` and therefore viable
-//!   at million-node scale.
-//! * **Small-world** — Watts–Strogatz: a ring lattice where each node
-//!   links to its `k/2` nearest neighbors on each side, then each far
-//!   endpoint is rewired to a uniform node with probability `beta`.
-//!
-//! All generators are pure functions of `(kind, n, seed)`.
+//! [`CsrTopology`] keeps the neighbor lists of all nodes in one flat
+//! array, which is what lets the cluster run at millions of nodes; it and
+//! its generators live in [`resilience_networks::graph`] and are
+//! re-exported here. What the cluster adds is the giant component of a
+//! word-packed alive-set.
 
-use rand::Rng;
-use resilience_core::seeded_rng;
 use resilience_dcsp::BitWords;
 use resilience_networks::UnionFind;
-use serde::{Deserialize, Serialize};
 
-/// Which generator family to draw the topology from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TopologyKind {
-    /// Barabási–Albert preferential attachment: each new node attaches
-    /// `m` edges to existing nodes with probability proportional to
-    /// degree. Produces a power-law degree tail (hubs).
-    ScaleFree {
-        /// Edges attached by each arriving node (`m ≥ 1`).
-        m: usize,
-    },
-    /// Erdős–Rényi `G(n, p)` with `p` chosen to hit `mean_degree`.
-    /// Degree distribution is binomial — no hubs.
-    Random {
-        /// Expected mean degree (`p = mean_degree / (n − 1)`).
-        mean_degree: f64,
-    },
-    /// Watts–Strogatz small-world: ring lattice of degree `k` with each
-    /// far endpoint rewired with probability `beta`.
-    SmallWorld {
-        /// Ring degree (each node links `k/2` to each side; even, ≥ 2).
-        k: usize,
-        /// Rewiring probability in `[0, 1]`.
-        beta: f64,
-    },
-}
+pub use resilience_networks::graph::{CsrTopology, TopologyKind};
 
-impl TopologyKind {
-    /// Short label for tables and metric names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TopologyKind::ScaleFree { .. } => "scale_free",
-            TopologyKind::Random { .. } => "random",
-            TopologyKind::SmallWorld { .. } => "small_world",
-        }
+/// Size of the largest connected component among `alive` nodes (0 if
+/// nothing is alive).
+pub fn giant_size(topology: &CsrTopology, alive: &BitWords) -> usize {
+    if alive.none_set() {
+        return 0;
     }
-}
-
-/// An undirected graph over nodes `0..n` in compressed-sparse-row form.
-///
-/// `neighbors(v)` is the slice `adjacency[offsets[v]..offsets[v+1]]`.
-/// Each undirected edge appears once in each endpoint's list. Neighbor
-/// lists are sorted ascending, so iteration order — and therefore every
-/// float accumulation the cascade performs — is a pure function of the
-/// topology, independent of generator internals or thread budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CsrTopology {
-    offsets: Vec<u64>,
-    adjacency: Vec<u32>,
-}
-
-impl CsrTopology {
-    /// Generate a topology of `n` nodes from `kind`, deterministically
-    /// from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds `u32::MAX` nodes or the kind's parameters
-    /// are degenerate (`m == 0`, `k < 2`, negative `mean_degree`).
-    pub fn generate(kind: &TopologyKind, n: usize, seed: u64) -> Self {
-        assert!(n <= u32::MAX as usize, "node ids are u32");
-        let edges = match *kind {
-            TopologyKind::ScaleFree { m } => {
-                assert!(m >= 1, "scale-free m must be >= 1");
-                barabasi_albert_edges(n, m, seed)
-            }
-            TopologyKind::Random { mean_degree } => {
-                assert!(mean_degree >= 0.0, "mean_degree must be non-negative");
-                erdos_renyi_edges(n, mean_degree, seed)
-            }
-            TopologyKind::SmallWorld { k, beta } => {
-                assert!(k >= 2 && k % 2 == 0, "small-world k must be even and >= 2");
-                assert!((0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
-                watts_strogatz_edges(n, k, beta, seed)
-            }
-        };
-        Self::from_edges(n, &edges)
-    }
-
-    /// Build the CSR arrays from an undirected edge list (counting sort:
-    /// one pass to size each neighbor list, one pass to scatter).
-    /// Self-loops are dropped; parallel edges are kept (the generators
-    /// above avoid them where the classical model does).
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degree = vec![0u64; n];
-        for &(a, b) in edges {
-            if a == b {
-                continue;
-            }
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
-        }
-        let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degree[v];
-        }
-        let mut adjacency = vec![0u32; offsets[n] as usize];
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        for &(a, b) in edges {
-            if a == b {
-                continue;
-            }
-            adjacency[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-            adjacency[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
-        }
-        // Sorted neighbor lists pin the cascade's float-accumulation
-        // order to the topology alone.
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            adjacency[lo..hi].sort_unstable();
-        }
-        CsrTopology { offsets, adjacency }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Whether the graph has zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.len() / 2
-    }
-
-    /// Degree of `v`.
-    pub fn degree(&self, v: usize) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    /// Neighbor list of `v`, ascending.
-    pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Mean degree (`2·edges / n`).
-    pub fn mean_degree(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.adjacency.len() as f64 / self.len() as f64
-        }
-    }
-
-    /// Node ids sorted by descending degree, ties broken by ascending id
-    /// — the deterministic victim order for targeted attacks.
-    pub fn degrees_desc(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v as usize)), v));
-        order
-    }
-
-    /// Size of the largest connected component among `alive` nodes,
-    /// together with the union-find structure (callers can test giant
-    /// membership via [`GiantView`]).
-    pub fn giant_component(&self, alive: &BitWords) -> GiantView {
-        let n = self.len();
-        let mut uf = UnionFind::new(n);
-        alive.for_each_one(|v| {
-            for &w in self.neighbors(v) {
-                let w = w as usize;
-                // Each undirected edge is visited from both sides; the
-                // `v < w` guard unions it once.
-                if v < w && alive.get(w) {
-                    uf.union(v, w);
-                }
-            }
-        });
-        let mut giant_root = None;
-        let mut giant_size = 0usize;
-        let mut view_uf = uf;
-        alive.for_each_one(|v| {
-            let size = view_uf.component_size(v);
-            if size > giant_size {
-                giant_size = size;
-                giant_root = Some(view_uf.find(v));
-            }
-        });
-        GiantView {
-            uf: view_uf,
-            giant_root,
-            giant_size,
-        }
-    }
-}
-
-/// The connected-component decomposition of the alive subgraph, with the
-/// giant (largest) component singled out.
-#[derive(Debug)]
-pub struct GiantView {
-    uf: UnionFind,
-    giant_root: Option<usize>,
-    giant_size: usize,
-}
-
-impl GiantView {
-    /// Size of the largest alive component (0 if nothing is alive).
-    pub fn giant_size(&self) -> usize {
-        self.giant_size
-    }
-
-    /// Whether alive node `v` sits in the giant component.
-    pub fn in_giant(&mut self, v: usize) -> bool {
-        match self.giant_root {
-            Some(root) => self.uf.find(v) == root,
-            None => false,
-        }
-    }
-}
-
-/// Barabási–Albert preferential attachment, endpoint-multiset form.
-///
-/// Seeded with a small clique of `m + 1` nodes; every subsequent node
-/// attaches `m` edges whose far endpoints are drawn uniformly from the
-/// flat vector of all previous edge endpoints (degree-proportional by
-/// construction). Duplicate targets within one arrival are redrawn, so
-/// the graph is simple.
-fn barabasi_albert_edges(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
-    let mut rng = seeded_rng(seed);
-    let core = (m + 1).min(n);
-    let mut edges: Vec<(u32, u32)> =
-        Vec::with_capacity(core * core / 2 + n.saturating_sub(core) * m);
-    let mut endpoints: Vec<u32> = Vec::with_capacity(2 * edges.capacity());
-    for a in 0..core {
-        for b in (a + 1)..core {
-            edges.push((a as u32, b as u32));
-            endpoints.push(a as u32);
-            endpoints.push(b as u32);
-        }
-    }
-    let mut targets: Vec<u32> = Vec::with_capacity(m);
-    for v in core..n {
-        targets.clear();
-        while targets.len() < m {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if !targets.contains(&t) {
-                targets.push(t);
+    // Dead nodes stay singletons, so the largest component is an alive one.
+    let mut uf = UnionFind::new(topology.len());
+    alive.for_each_one(|v| {
+        for &w in topology.neighbors(v) {
+            let w = w as usize;
+            // Each undirected edge is visited from both sides; the
+            // `v < w` guard unions it once.
+            if v < w && alive.get(w) {
+                uf.union(v, w);
             }
         }
-        for &t in &targets {
-            edges.push((v as u32, t));
-            endpoints.push(v as u32);
-            endpoints.push(t);
-        }
-    }
-    edges
-}
-
-/// Erdős–Rényi `G(n, p)` by geometric skip-sampling over the strictly
-/// lower-triangular pair order `(1,0), (2,0), (2,1), (3,0), …` —
-/// `O(edges)` instead of `O(n²)` coin flips.
-fn erdos_renyi_edges(n: usize, mean_degree: f64, seed: u64) -> Vec<(u32, u32)> {
-    if n < 2 {
-        return Vec::new();
-    }
-    let p = (mean_degree / (n - 1) as f64).clamp(0.0, 1.0);
-    if p <= 0.0 {
-        return Vec::new();
-    }
-    let mut edges = Vec::with_capacity((mean_degree * n as f64 / 2.0) as usize + 16);
-    if p >= 1.0 {
-        for a in 1..n as u32 {
-            for b in 0..a {
-                edges.push((a, b));
-            }
-        }
-        return edges;
-    }
-    let mut rng = seeded_rng(seed);
-    let log_q = (1.0 - p).ln();
-    // (v, w) walks the lower triangle; skip ~ Geometric(p) pairs ahead.
-    let mut v: u64 = 1;
-    let mut w: i64 = -1;
-    loop {
-        let u: f64 = rng.gen::<f64>();
-        let skip = ((1.0 - u).ln() / log_q).floor().max(0.0) as i64;
-        w += 1 + skip;
-        while w >= v as i64 && (v as usize) < n {
-            w -= v as i64;
-            v += 1;
-        }
-        if v as usize >= n {
-            return edges;
-        }
-        edges.push((v as u32, w as u32));
-    }
-}
-
-/// Watts–Strogatz: ring lattice plus seeded rewiring of far endpoints.
-fn watts_strogatz_edges(n: usize, k: usize, beta: f64, seed: u64) -> Vec<(u32, u32)> {
-    let mut rng = seeded_rng(seed);
-    let half = (k / 2).min(n.saturating_sub(1));
-    let mut edges = Vec::with_capacity(n * half);
-    for v in 0..n {
-        for d in 1..=half {
-            let w = (v + d) % n;
-            if v as u32 == w as u32 {
-                continue;
-            }
-            let rewire = beta > 0.0 && rng.gen::<f64>() < beta;
-            if rewire {
-                // Redraw until the endpoint is neither `v` nor the ring
-                // neighbor we are replacing (parallel edges elsewhere are
-                // tolerated, as in the classical model's large-n limit).
-                let mut t = rng.gen_range(0..n);
-                let mut guard = 0;
-                while (t == v || t == w) && guard < 64 {
-                    t = rng.gen_range(0..n);
-                    guard += 1;
-                }
-                if t != v {
-                    edges.push((v as u32, t as u32));
-                    continue;
-                }
-            }
-            edges.push((v as u32, w as u32));
-        }
-    }
-    edges
+    });
+    uf.largest_component()
 }
 
 #[cfg(test)]
@@ -359,84 +37,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csr_matches_edge_list() {
-        let edges = [(0u32, 1u32), (1, 2), (0, 2), (2, 3), (3, 3)];
-        let top = CsrTopology::from_edges(5, &edges);
-        assert_eq!(top.len(), 5);
-        assert_eq!(top.edge_count(), 4); // self-loop dropped
-        assert_eq!(top.neighbors(0), &[1, 2]);
-        assert_eq!(top.neighbors(2), &[0, 1, 3]);
-        assert_eq!(top.neighbors(4), &[] as &[u32]);
-        assert_eq!(top.degree(2), 3);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        for kind in [
-            TopologyKind::ScaleFree { m: 3 },
-            TopologyKind::Random { mean_degree: 6.0 },
-            TopologyKind::SmallWorld { k: 6, beta: 0.1 },
-        ] {
-            let a = CsrTopology::generate(&kind, 500, 42);
-            let b = CsrTopology::generate(&kind, 500, 42);
-            let c = CsrTopology::generate(&kind, 500, 43);
-            assert_eq!(a, b, "{kind:?} not deterministic");
-            assert_ne!(a, c, "{kind:?} ignores its seed");
-        }
-    }
-
-    #[test]
-    fn scale_free_edge_count_and_hubs() {
-        let n = 2_000;
-        let m = 3;
-        let top = CsrTopology::generate(&TopologyKind::ScaleFree { m }, n, 7);
-        // m+1 clique seed + m edges per arrival.
-        let expected = (m + 1) * m / 2 + (n - m - 1) * m;
-        assert_eq!(top.edge_count(), expected);
-        let order = top.degrees_desc();
-        let top_degree = top.degree(order[0] as usize);
-        assert!(
-            top_degree > 10 * m,
-            "expected a hub, max degree {top_degree}"
-        );
-        // Degrees descend along the attack order.
-        assert!(top.degree(order[0] as usize) >= top.degree(order[n / 2] as usize));
-    }
-
-    #[test]
-    fn random_graph_hits_mean_degree() {
-        let top = CsrTopology::generate(&TopologyKind::Random { mean_degree: 8.0 }, 10_000, 11);
-        let mean = top.mean_degree();
-        assert!((mean - 8.0).abs() < 0.5, "mean degree {mean}");
-        // Binomial degrees: the maximum should stay within a small
-        // multiple of the mean (no hubs).
-        let max_deg = (0..top.len()).map(|v| top.degree(v)).max().unwrap();
-        assert!(max_deg < 40, "unexpected hub of degree {max_deg}");
-    }
-
-    #[test]
-    fn small_world_keeps_ring_degree() {
-        let top = CsrTopology::generate(&TopologyKind::SmallWorld { k: 6, beta: 0.05 }, 2_000, 3);
-        assert_eq!(top.edge_count(), 2_000 * 3);
-        assert!((top.mean_degree() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn giant_component_tracks_alive_set() {
+    fn giant_size_tracks_alive_set() {
         // Path 0-1-2-3 plus isolated 4.
         let top = CsrTopology::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
         let mut alive = BitWords::new_filled(5);
-        let mut view = top.giant_component(&alive);
-        assert_eq!(view.giant_size(), 4);
-        assert!(view.in_giant(1));
-        assert!(!view.in_giant(4));
+        assert_eq!(giant_size(&top, &alive), 4);
         alive.clear(1); // split the path
-        let mut view = top.giant_component(&alive);
-        assert_eq!(view.giant_size(), 2);
-        assert!(view.in_giant(2));
-        assert!(!view.in_giant(0));
+        assert_eq!(giant_size(&top, &alive), 2);
+        alive.clear(2);
+        alive.clear(3);
+        assert_eq!(giant_size(&top, &alive), 1);
         alive.clear_all();
-        let view = top.giant_component(&alive);
-        assert_eq!(view.giant_size(), 0);
+        assert_eq!(giant_size(&top, &alive), 0);
     }
 }

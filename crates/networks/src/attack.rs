@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::graph::Graph;
+use crate::graph::CsrTopology;
 use crate::percolation::removal_curve;
 
 /// How nodes are chosen for removal.
@@ -55,7 +55,7 @@ impl AttackCurve {
 /// Remove up to `max_removals` nodes by `strategy`, recording the
 /// giant-component fraction after every removal.
 pub fn attack_sweep<R: Rng + ?Sized>(
-    graph: &Graph,
+    graph: &CsrTopology,
     strategy: AttackStrategy,
     max_removals: usize,
     rng: &mut R,
@@ -70,9 +70,8 @@ pub fn attack_sweep<R: Rng + ?Sized>(
             nodes
         }
         AttackStrategy::TargetedByDegree => {
-            let mut nodes = graph.nodes_by_degree_desc();
-            nodes.truncate(max_removals);
-            nodes
+            let nodes = graph.degrees_desc().into_iter().take(max_removals);
+            nodes.map(|v| v as usize).collect()
         }
     };
     AttackCurve {
@@ -84,7 +83,7 @@ pub fn attack_sweep<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{barabasi_albert, erdos_renyi};
+    use crate::graph::{barabasi_albert, erdos_renyi};
     use resilience_core::seeded_rng;
 
     /// The E15 reproduction: BA robust to random failure, fragile to hub
@@ -146,16 +145,10 @@ mod tests {
     #[test]
     fn targeted_removes_hubs_first() {
         let mut rng = seeded_rng(113);
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
-        g.add_edge(0, 4);
+        let g = CsrTopology::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         // Star: removing the hub disconnects everything.
         let c = attack_sweep(&g, AttackStrategy::TargetedByDegree, 1, &mut rng);
         assert!((c.giant[0] - 1.0).abs() < 1e-12);
         assert!((c.giant[1] - 0.2).abs() < 1e-12); // singletons remain
     }
-
-    use crate::graph::Graph;
 }

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::graph::Graph;
+use crate::graph::CsrTopology;
 
 /// Watts threshold cascade: node `v` fails when
 /// `failed_neighbors(v) / degree(v) ≥ threshold`.
@@ -49,7 +49,7 @@ impl ThresholdCascade {
     }
 
     /// Run the cascade from `seeds` on `graph`.
-    pub fn run(&self, graph: &Graph, seeds: &[usize]) -> CascadeOutcome {
+    pub fn run(&self, graph: &CsrTopology, seeds: &[usize]) -> CascadeOutcome {
         let n = graph.len();
         let mut failed = vec![false; n];
         let mut failed_neighbors = vec![0usize; n];
@@ -119,7 +119,7 @@ pub enum Immunization {
 /// Discrete-time SIR: each round every infectious node infects each
 /// susceptible neighbor with probability `beta`, then recovers.
 pub fn sir_epidemic<R: Rng + ?Sized>(
-    graph: &Graph,
+    graph: &CsrTopology,
     beta: f64,
     seed_count: usize,
     immunization: Immunization,
@@ -148,8 +148,8 @@ pub fn sir_epidemic<R: Rng + ?Sized>(
             }
         }
         Immunization::Hubs { count } => {
-            for &v in graph.nodes_by_degree_desc().iter().take(count.min(n)) {
-                state[v] = State::Immune;
+            for &v in graph.degrees_desc().iter().take(count.min(n)) {
+                state[v as usize] = State::Immune;
             }
         }
     }
@@ -191,7 +191,7 @@ pub fn sir_epidemic<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{barabasi_albert, complete, ring_lattice};
+    use crate::graph::{barabasi_albert, complete, ring_lattice};
     use resilience_core::seeded_rng;
 
     #[test]

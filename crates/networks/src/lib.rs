@@ -1,9 +1,11 @@
 //! Network and lattice substrates for the Systems Resilience project
 //! (the paper's §4.5 and §5.1).
 //!
-//! * [`graph`] / [`generators`] — compact undirected graphs;
-//!   Barabási–Albert preferential attachment (scale-free) and Erdős–Rényi
-//!   G(n, p) generators, plus lattices.
+//! * [`graph`] — the workspace's one graph type, [`CsrTopology`]
+//!   (compressed-sparse-row adjacency, from hundreds to millions of
+//!   nodes), with seeded Barabási–Albert (scale-free), Erdős–Rényi
+//!   G(n, p), Watts–Strogatz (small-world) and planted-partition
+//!   (modular) generators.
 //! * [`percolation`] / [`attack`] — "network-based systems that possess the
 //!   scale-free property are extremely robust against random failures …
 //!   However, … a spreading virus deliberately designed to attack the hubs
@@ -40,7 +42,6 @@
 pub mod attack;
 pub mod cascade;
 pub mod forest_fire;
-pub mod generators;
 pub mod graph;
 pub mod percolation;
 pub mod sandpile;
@@ -49,10 +50,9 @@ pub mod union_find;
 pub use attack::{attack_sweep, AttackCurve, AttackStrategy};
 pub use cascade::{CascadeOutcome, SirOutcome, ThresholdCascade};
 pub use forest_fire::{ForestFire, ForestPolicy, ForestReport};
-pub use generators::{
-    barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, watts_strogatz,
+pub use graph::{
+    barabasi_albert, erdos_renyi, planted_partition, watts_strogatz, CsrTopology, TopologyKind,
 };
-pub use graph::Graph;
 pub use percolation::{giant_component_fraction, giant_component_size};
 pub use sandpile::{InterventionPolicy, Sandpile, SandpileReport};
 pub use union_find::UnionFind;

@@ -5,19 +5,18 @@
 //! curves are computed *additively*: nodes are inserted in reverse removal
 //! order into a union–find, so a whole sweep costs near-linear time.
 
-use crate::graph::Graph;
+use crate::graph::CsrTopology;
 use crate::union_find::UnionFind;
 
 /// Size of the largest connected component among the `alive` nodes.
-pub fn giant_component_size(graph: &Graph, alive: &[bool]) -> usize {
+pub fn giant_component_size(graph: &CsrTopology, alive: &[bool]) -> usize {
     assert_eq!(alive.len(), graph.len(), "alive mask must cover every node");
+    if !alive.contains(&true) {
+        return 0;
+    }
+    // Dead nodes stay singletons, so the largest component is an alive one.
     let mut uf = UnionFind::new(graph.len());
-    let mut any_alive = false;
-    for v in 0..graph.len() {
-        if !alive[v] {
-            continue;
-        }
-        any_alive = true;
+    for v in (0..graph.len()).filter(|&v| alive[v]) {
         for &w in graph.neighbors(v) {
             let w = w as usize;
             if w < v && alive[w] {
@@ -25,18 +24,11 @@ pub fn giant_component_size(graph: &Graph, alive: &[bool]) -> usize {
             }
         }
     }
-    if !any_alive {
-        return 0;
-    }
-    (0..graph.len())
-        .filter(|&v| alive[v])
-        .map(|v| uf.component_size(v))
-        .max()
-        .unwrap_or(0)
+    uf.largest_component()
 }
 
 /// Largest-component size as a *fraction* of all nodes.
-pub fn giant_component_fraction(graph: &Graph, alive: &[bool]) -> f64 {
+pub fn giant_component_fraction(graph: &CsrTopology, alive: &[bool]) -> f64 {
     if graph.is_empty() {
         return 0.0;
     }
@@ -46,48 +38,49 @@ pub fn giant_component_fraction(graph: &Graph, alive: &[bool]) -> f64 {
 /// Giant-component fraction after removing each prefix of `removal_order`:
 /// `result[k]` = fraction with the first `k` nodes removed. Computed by
 /// adding nodes in reverse order (O((n + m) α(n)) total).
-pub fn removal_curve(graph: &Graph, removal_order: &[usize]) -> Vec<f64> {
+pub fn removal_curve(graph: &CsrTopology, removal_order: &[usize]) -> Vec<f64> {
     let n = graph.len();
     assert!(
         removal_order.len() <= n,
         "cannot remove more nodes than exist"
     );
+    let mut removed = vec![false; n];
+    for &v in removal_order {
+        removed[v] = true;
+    }
     let mut uf = UnionFind::new(n);
-    // Insert the never-removed nodes first.
+    let mut alive = vec![false; n];
     let mut giant = 0usize;
-    let insert = |uf: &mut UnionFind, alive: &mut Vec<bool>, v: usize, giant: &mut usize| {
+    let mut insert = |v: usize| {
         alive[v] = true;
-        *giant = (*giant).max(1);
         for &w in graph.neighbors(v) {
             let w = w as usize;
             if alive[w] {
                 uf.union(v, w);
             }
         }
-        *giant = (*giant).max(uf.component_size(v));
+        giant = giant.max(uf.component_size(v));
+        giant
     };
-    {
-        let survivors: Vec<usize> = (0..n).filter(|&v| !removal_order.contains(&v)).collect();
-        let mut alive2 = vec![false; n];
-        for &v in &survivors {
-            insert(&mut uf, &mut alive2, v, &mut giant);
-        }
-        // Replay removals backwards, recording the curve back-to-front.
-        let mut curve = vec![0.0; removal_order.len() + 1];
-        let denom = n.max(1) as f64;
-        curve[removal_order.len()] = giant as f64 / denom;
-        for (k, &v) in removal_order.iter().enumerate().rev() {
-            insert(&mut uf, &mut alive2, v, &mut giant);
-            curve[k] = giant as f64 / denom;
-        }
-        curve
+    // Insert the never-removed nodes first.
+    let mut survivors_giant = 0;
+    for v in (0..n).filter(|&v| !removed[v]) {
+        survivors_giant = insert(v);
     }
+    // Replay removals backwards, recording the curve back-to-front.
+    let denom = n.max(1) as f64;
+    let mut curve = vec![0.0; removal_order.len() + 1];
+    curve[removal_order.len()] = survivors_giant as f64 / denom;
+    for (k, &v) in removal_order.iter().enumerate().rev() {
+        curve[k] = insert(v) as f64 / denom;
+    }
+    curve
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{complete, ring_lattice};
+    use crate::graph::{complete, ring_lattice};
 
     #[test]
     fn intact_complete_graph_is_one_component() {

@@ -3,7 +3,7 @@
 
 use systems_resilience::agents::experiment::{evaluate_allocation, ShockRegime};
 use systems_resilience::core::{seeded_rng, BudgetAllocation, Config};
-use systems_resilience::networks::generators::barabasi_albert;
+use systems_resilience::networks::graph::barabasi_albert;
 use systems_resilience::stats::distributions::{Pareto, Sampler};
 
 #[test]

@@ -8,7 +8,7 @@ use systems_resilience::dcsp::recoverability::is_k_recoverable_exhaustive;
 use systems_resilience::dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
 use systems_resilience::engineering::nversion::{DesignStrategy, NVersionController};
 use systems_resilience::engineering::storage::StorageArray;
-use systems_resilience::networks::generators::erdos_renyi;
+use systems_resilience::networks::graph::erdos_renyi;
 use systems_resilience::networks::percolation::removal_curve;
 use systems_resilience::stats::ews::kendall_tau;
 
