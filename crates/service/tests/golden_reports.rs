@@ -231,3 +231,75 @@ fn replicated_n2_gray_storm() {
         ],
     );
 }
+
+/// The `bench_smoke obs` configuration: anticipation with the Emergency
+/// band lowered so the canned workload escalates and trips the flight
+/// recorder.
+fn escalating() -> AnticipationConfig {
+    let mut cfg = AnticipationConfig::default();
+    cfg.switch.emergency_on = 0.40;
+    cfg
+}
+
+#[test]
+fn anticipatory_escalating() {
+    let config = ServiceConfig {
+        anticipation: Some(escalating()),
+        ..ServiceConfig::default()
+    };
+    let got = outputs(config, &canned_trace(), &plan(CHAOS));
+    check(
+        "anticipatory_escalating",
+        got,
+        [
+            (0x3532c11d38c49469, 80881),
+            (0x49bbc492aa7b5a2c, 6622),
+            (0xa379f3c9c71d8272, 231071),
+            (0x4884349d2baebd13, 1225),
+        ],
+    );
+}
+
+#[test]
+fn replicated_n2_starved_budget_degradation_off() {
+    let mut config = replicated(2, vec![]);
+    config.degradation = false;
+    if let Some(rcfg) = config.replication.as_mut() {
+        rcfg.budget_capacity = 1;
+        rcfg.budget_refill_milli = 0;
+    }
+    let got = outputs(
+        config,
+        &redundancy_trace(),
+        &plan("seed=11,panic=0.05,gray=0.3,correlated=0.25"),
+    );
+    check(
+        "replicated_n2_starved_budget_degradation_off",
+        got,
+        [
+            (0x2bd137602d3212e1, 104806),
+            (0x35acb3b06cbc019c, 6859),
+            (0xc61d26a9955f5207, 293570),
+            (0x9bc27b5f792f2450, 389),
+        ],
+    );
+}
+
+#[test]
+fn anticipatory_replicated_n2() {
+    let config = ServiceConfig {
+        anticipation: Some(escalating()),
+        ..replicated(2, vec![])
+    };
+    let got = outputs(config, &redundancy_trace(), &plan(REDUNDANCY_CHAOS));
+    check(
+        "anticipatory_replicated_n2",
+        got,
+        [
+            (0x741272fb90add3a2, 116228),
+            (0xbf01e5455c5bb3e2, 8086),
+            (0xcff042caa08198af, 341849),
+            (0xc0cfd134eea69cb1, 4062),
+        ],
+    );
+}
