@@ -182,17 +182,57 @@ struct Smoke {
     meta: Meta,
 }
 
+/// Print a failed gate's message on stderr and exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1)
+}
+
+/// The upper median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Wall-clock seconds of one call of `f`.
+fn time_secs<T>(mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
 /// Median wall-clock seconds over `reps` runs of `f`.
 fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
+    median((0..reps).map(|_| time_secs(&mut f)).collect())
+}
+
+/// `n` back-to-back calls of `f`, as one timed round.
+fn repeat<T>(n: usize, f: impl Fn() -> T) -> impl FnMut() {
+    move || {
+        for _ in 0..n {
             std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+        }
+    }
+}
+
+/// Time `reps` interleaved rounds of `base` then `candidate` and return
+/// `(median base secs, median candidate secs, median per-round ratio)`.
+/// Gating on the median of per-round ratios keeps machine-load drift
+/// between two separately timed batches from masquerading as overhead.
+fn interleaved(
+    reps: usize,
+    mut base: impl FnMut(),
+    mut candidate: impl FnMut(),
+) -> (f64, f64, f64) {
+    let (mut bases, mut candidates, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let b = time_secs(&mut base);
+        let c = time_secs(&mut candidate);
+        bases.push(b);
+        candidates.push(c);
+        ratios.push(c / b);
+    }
+    (median(bases), median(candidates), median(ratios))
 }
 
 #[derive(Serialize)]
@@ -253,17 +293,14 @@ fn run_fault_smoke(reps: usize) {
     let quiet = mc_kernel(&quiet_ctx, TRIALS);
     let chaotic = mc_kernel(&chaos_ctx, TRIALS);
     if bare != quiet || bare != chaotic {
-        eprintln!("FAIL: supervised folds differ from the bare runtime");
-        std::process::exit(1);
+        fail("supervised folds differ from the bare runtime");
     }
     let report = chaos_ctx.run_report().expect("chaos context reports");
     if report.faults_injected == 0 || report.recovered == 0 {
-        eprintln!("FAIL: chaos plan injected or recovered nothing");
-        std::process::exit(1);
+        fail("chaos plan injected or recovered nothing");
     }
     if !report.lost.is_empty() {
-        eprintln!("FAIL: canned chaos plan is recoverable, nothing may be lost");
-        std::process::exit(1);
+        fail("canned chaos plan is recoverable, nothing may be lost");
     }
 
     let bare_secs = median_secs(reps, || mc_kernel(&bare_ctx, TRIALS));
@@ -356,69 +393,46 @@ fn run_telemetry_smoke(reps: usize) {
     let (fold1, report1) = supervised_run(1);
     let (fold4, report4) = supervised_run(THREADS);
     if fold1 != fold4 {
-        eprintln!("FAIL: supervised folds differ across thread budgets");
-        std::process::exit(1);
+        fail("supervised folds differ across thread budgets");
     }
     let (trace1, prom1, attr1, obs1) = derive(&report1);
     let (trace4, prom4, attr4, _) = derive(&report4);
     if trace1 != trace4 || prom1 != prom4 {
-        eprintln!("FAIL: derived telemetry depends on thread count");
-        std::process::exit(1);
+        fail("derived telemetry depends on thread count");
     }
     if attr1 != attr4 {
-        eprintln!("FAIL: deficit attribution depends on thread count");
-        std::process::exit(1);
+        fail("deficit attribution depends on thread count");
     }
     if obs1.quality() != &report1.health {
-        eprintln!("FAIL: observed trajectory is not bit-identical to the report's health");
-        std::process::exit(1);
+        fail("observed trajectory is not bit-identical to the report's health");
     }
     let r = report1.resilience_loss();
     if attr1.total != r || (attr1.components_sum() - r).abs() > 1e-9 * r.max(1.0) {
-        eprintln!(
-            "FAIL: attribution does not reconcile: components={} total={} R={r}",
+        fail(&format!(
+            "attribution does not reconcile: components={} total={} R={r}",
             attr1.components_sum(),
             attr1.total
-        );
-        std::process::exit(1);
+        ));
     }
 
     // Interleave base and traced rounds and gate on the median of the
-    // per-round ratios: timing the two arms as separate batches lets
-    // machine-load drift between the batches masquerade as overhead.
-    let time_secs = |f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
-    // One untimed warm-up round so allocator and page-cache cold-start
-    // costs don't land on the first measured ratio.
+    // per-round ratios. One untimed warm-up round first, so allocator
+    // and page-cache cold-start costs don't land on the first ratio.
     std::hint::black_box(supervised_run(THREADS));
-    let mut base_times = Vec::with_capacity(reps);
-    let mut traced_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let b = time_secs(&mut || {
+    let (base_secs, traced_secs, overhead) = interleaved(
+        reps,
+        || {
             std::hint::black_box(supervised_run(THREADS));
-        });
-        let t = time_secs(&mut || {
+        },
+        || {
             let (fold, report) = supervised_run(THREADS);
             std::hint::black_box((fold, derive(&report)));
-        });
-        base_times.push(b);
-        traced_times.push(t);
-        ratios.push(t / b);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let base_secs = median(&mut base_times);
-    let traced_secs = median(&mut traced_times);
-    let overhead = median(&mut ratios);
+        },
+    );
     if overhead > 1.3 {
-        eprintln!("FAIL: telemetry derivation overhead {overhead:.3}x exceeds the 1.3x budget");
-        std::process::exit(1);
+        fail(&format!(
+            "telemetry derivation overhead {overhead:.3}x exceeds the 1.3x budget"
+        ));
     }
 
     let mut registry = MetricsRegistry::new();
@@ -493,8 +507,7 @@ fn run_cluster_smoke(reps: usize) {
     let table1 = c01_cluster_attack::run(&RunContext::with_threads(0, 1));
     let table4 = c01_cluster_attack::run(&RunContext::with_threads(0, 4));
     if table1 != table4 {
-        eprintln!("FAIL: cluster_attack table depends on thread count");
-        std::process::exit(1);
+        fail("cluster_attack table depends on thread count");
     }
 
     // The thread-scaled workload: a 100k-node scale-free fleet, surge
@@ -539,13 +552,11 @@ fn run_cluster_smoke(reps: usize) {
     let logs1 = logs_at(1);
     let logs4 = logs_at(4);
     if logs1 != logs4 {
-        eprintln!("FAIL: 100k-node cascade logs depend on thread count");
-        std::process::exit(1);
+        fail("100k-node cascade logs depend on thread count");
     }
     let toppled: u64 = logs1.iter().map(|(_, toppled)| toppled).sum();
     if toppled == 0 {
-        eprintln!("FAIL: the 100k-node workload never cascaded");
-        std::process::exit(1);
+        fail("the 100k-node workload never cascaded");
     }
 
     let t1_secs = median_secs(reps, || logs_at(1));
@@ -700,64 +711,42 @@ fn run_anticipate_smoke(reps: usize) {
     let json1 = serde_json::to_string(&ant1).expect("service reports serialize");
     let json4 = serde_json::to_string(&ant4).expect("service reports serialize");
     if json1 != json4 {
-        eprintln!("FAIL: anticipatory service report depends on thread count");
-        std::process::exit(1);
+        fail("anticipatory service report depends on thread count");
     }
     let react = serve_reactive(1);
     if ant1.failed() != 0 {
-        eprintln!(
-            "FAIL: {} hard failures with anticipation on; pre-dimming must not drop requests",
+        fail(&format!(
+            "{} hard failures with anticipation on; pre-dimming must not drop requests",
             ant1.failed()
-        );
-        std::process::exit(1);
+        ));
     }
     let r_react = react.resilience_loss();
     let r_ant = ant1.resilience_loss();
     if !r_react.is_finite() || !r_ant.is_finite() || r_ant >= r_react {
-        eprintln!("FAIL: anticipation did not shrink R: R_ant={r_ant} R_react={r_react}");
-        std::process::exit(1);
+        fail(&format!(
+            "anticipation did not shrink R: R_ant={r_ant} R_react={r_react}"
+        ));
     }
     // The pinned run must be behaviourally indistinguishable from the
     // reactive one — otherwise the overhead ratio is not pricing the
     // machinery alone.
     let pinned = serve_pinned(1);
     if pinned.outcomes != react.outcomes {
-        eprintln!("FAIL: pinned anticipation changed serving decisions");
-        std::process::exit(1);
+        fail("pinned anticipation changed serving decisions");
     }
 
     // Interleave reactive and anticipatory rounds and gate on the median
-    // of the per-round ratios — separate batches would let machine-load
-    // drift masquerade as overhead (same discipline as the telemetry
-    // smoke).
+    // of the per-round ratios (same discipline as the telemetry smoke).
     std::hint::black_box(serve_pinned(1));
-    let round = |f: &dyn Fn(usize) -> resilience_service::ServiceReport| {
-        let start = Instant::now();
-        for _ in 0..SERVES_PER_ROUND {
-            std::hint::black_box(f(1));
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let mut react_times = Vec::with_capacity(reps);
-    let mut ant_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let b = round(&serve_reactive);
-        let t = round(&serve_pinned);
-        react_times.push(b);
-        ant_times.push(t);
-        ratios.push(t / b);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let react_secs = median(&mut react_times);
-    let ant_secs = median(&mut ant_times);
-    let overhead = median(&mut ratios);
+    let (react_secs, ant_secs, overhead) = interleaved(
+        reps,
+        repeat(SERVES_PER_ROUND, || serve_reactive(1)),
+        repeat(SERVES_PER_ROUND, || serve_pinned(1)),
+    );
     if overhead > 1.15 {
-        eprintln!("FAIL: anticipation overhead {overhead:.3}x exceeds the 1.15x budget");
-        std::process::exit(1);
+        fail(&format!(
+            "anticipation overhead {overhead:.3}x exceeds the 1.15x budget"
+        ));
     }
 
     let smoke = AnticipateSmoke {
@@ -877,8 +866,7 @@ fn run_redundancy_smoke(reps: usize) {
     let json1 = serde_json::to_string(&diverse1).expect("service reports serialize");
     let json4 = serde_json::to_string(&diverse4).expect("service reports serialize");
     if json1 != json4 {
-        eprintln!("FAIL: replicated service report depends on thread count");
-        std::process::exit(1);
+        fail("replicated service report depends on thread count");
     }
 
     // Gate 2: redundancy wins, diversity carries it, nothing hard-fails.
@@ -890,19 +878,16 @@ fn run_redundancy_smoke(reps: usize) {
         diverse1.resilience_loss(),
     );
     if single.failed() + homogeneous.failed() + diverse1.failed() != 0 {
-        eprintln!("FAIL: a replication arm hard-failed a request");
-        std::process::exit(1);
+        fail("a replication arm hard-failed a request");
     }
     if !r_single.is_finite() || !r_div.is_finite() || r_div >= r_single || r_div >= r_homo {
-        eprintln!(
-            "FAIL: diverse replication did not shrink R: \
+        fail(&format!(
+            "diverse replication did not shrink R: \
              R_single={r_single} R_homogeneous={r_homo} R_diverse={r_div}"
-        );
-        std::process::exit(1);
+        ));
     }
     if diverse1.failovers() == 0 {
-        eprintln!("FAIL: correlated chaos never exercised failover");
-        std::process::exit(1);
+        fail("correlated chaos never exercised failover");
     }
 
     // Gate 3: under a 100%-gray storm the retry budget's token
@@ -913,34 +898,30 @@ fn run_redundancy_smoke(reps: usize) {
         .plan;
     let storm = ServiceEngine::new(replicated_config(2, vec![], 1)).serve(&trace, &storm_plan);
     if storm.failed() != 0 {
-        eprintln!("FAIL: a gray storm hard-failed a request");
-        std::process::exit(1);
+        fail("a gray storm hard-failed a request");
     }
     if storm.hedges_launched() == 0 {
-        eprintln!("FAIL: a 100%-gray storm never triggered hedging");
-        std::process::exit(1);
+        fail("a 100%-gray storm never triggered hedging");
     }
     let rcfg = ReplicationConfig::default();
     let mut storm_spent = 0u64;
     let mut storm_exhausted = 0u64;
     for (fam, s) in storm.replica_stats.iter().enumerate() {
         if s.hedges_launched + s.failovers != s.budget_spent {
-            eprintln!(
-                "FAIL: family {fam}: budget accounting does not reconcile: \
+            fail(&format!(
+                "family {fam}: budget accounting does not reconcile: \
                  hedges={} failovers={} spent={}",
                 s.hedges_launched, s.failovers, s.budget_spent
-            );
-            std::process::exit(1);
+            ));
         }
         let ceiling = u64::from(rcfg.budget_capacity)
             + storm.ticks * u64::from(rcfg.budget_refill_milli) / 1000
             + 1;
         if s.budget_spent > ceiling {
-            eprintln!(
-                "FAIL: family {fam}: budget spend {} exceeds the token ceiling {ceiling}",
+            fail(&format!(
+                "family {fam}: budget spend {} exceeds the token ceiling {ceiling}",
                 s.budget_spent
-            );
-            std::process::exit(1);
+            ));
         }
         storm_spent += s.budget_spent;
         storm_exhausted += s.budget_exhausted;
@@ -952,42 +933,21 @@ fn run_redundancy_smoke(reps: usize) {
     let legacy = serve_legacy_quiet();
     let replicated = serve_replicated_quiet();
     if legacy.outcomes != replicated.outcomes || legacy.quality != replicated.quality {
-        eprintln!("FAIL: N=1 replication changed quiet-path serving decisions");
-        std::process::exit(1);
+        fail("N=1 replication changed quiet-path serving decisions");
     }
 
     // Interleave legacy and replicated rounds and gate on the median of
-    // the per-round ratios — separate batches would let machine-load
-    // drift masquerade as overhead (same discipline as the anticipation
-    // smoke).
+    // the per-round ratios (same discipline as the anticipation smoke).
     std::hint::black_box(serve_replicated_quiet());
-    let round = |f: &dyn Fn() -> resilience_service::ServiceReport| {
-        let start = Instant::now();
-        for _ in 0..SERVES_PER_ROUND {
-            std::hint::black_box(f());
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let mut legacy_times = Vec::with_capacity(reps);
-    let mut replicated_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let b = round(&serve_legacy_quiet);
-        let t = round(&serve_replicated_quiet);
-        legacy_times.push(b);
-        replicated_times.push(t);
-        ratios.push(t / b);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let legacy_secs = median(&mut legacy_times);
-    let replicated_secs = median(&mut replicated_times);
-    let overhead = median(&mut ratios);
+    let (legacy_secs, replicated_secs, overhead) = interleaved(
+        reps,
+        repeat(SERVES_PER_ROUND, serve_legacy_quiet),
+        repeat(SERVES_PER_ROUND, serve_replicated_quiet),
+    );
     if overhead > 1.15 {
-        eprintln!("FAIL: replication overhead {overhead:.3}x exceeds the 1.15x budget");
-        std::process::exit(1);
+        fail(&format!(
+            "replication overhead {overhead:.3}x exceeds the 1.15x budget"
+        ));
     }
 
     let smoke = RedundancySmoke {
@@ -1103,15 +1063,13 @@ fn run_obs_smoke(reps: usize) {
     let json_untraced = serde_json::to_string(&untraced).expect("service reports serialize");
     let json_traced = serde_json::to_string(&report1).expect("service reports serialize");
     if json_untraced != json_traced {
-        eprintln!("FAIL: attaching the causal tracer changed serving decisions");
-        std::process::exit(1);
+        fail("attaching the causal tracer changed serving decisions");
     }
 
     // Gate 2: the workload escalates, and the Emergency escalation left
     // an incident report whose trigger tick is exactly the transition's.
     if report1.emergency_ticks == 0 {
-        eprintln!("FAIL: the escalating configuration never reached Emergency");
-        std::process::exit(1);
+        fail("the escalating configuration never reached Emergency");
     }
     let escalation_tick = report1
         .mode_transitions
@@ -1126,35 +1084,31 @@ fn run_obs_smoke(reps: usize) {
         .iter()
         .any(|i| i.kind == TriggerKind::ModeEscalation && i.trigger_tick == escalation_tick)
     {
-        eprintln!(
-            "FAIL: no incident report matches the Emergency escalation at tick {escalation_tick}"
-        );
-        std::process::exit(1);
+        fail(&format!(
+            "no incident report matches the Emergency escalation at tick {escalation_tick}"
+        ));
     }
 
     // Gate 3: blame decompositions are exact — every critical path's
     // components sum to its slack deficit, and the tracer saw every
     // request the engine decided.
     if tel1.causal.requests() != REQUESTS {
-        eprintln!(
-            "FAIL: causal tracer saw {} of {REQUESTS} requests",
+        fail(&format!(
+            "causal tracer saw {} of {REQUESTS} requests",
             tel1.causal.requests()
-        );
-        std::process::exit(1);
+        ));
     }
     if tel1.causal.paths().is_empty() {
-        eprintln!("FAIL: the chaos workload extracted no critical paths");
-        std::process::exit(1);
+        fail("the chaos workload extracted no critical paths");
     }
     for path in tel1.causal.paths() {
         if path.blame.total() != path.slack_deficit {
-            eprintln!(
-                "FAIL: request {} blame components sum to {} but slack deficit is {}",
+            fail(&format!(
+                "request {} blame components sum to {} but slack deficit is {}",
                 path.request,
                 path.blame.total(),
                 path.slack_deficit
-            );
-            std::process::exit(1);
+            ));
         }
     }
 
@@ -1167,50 +1121,24 @@ fn run_obs_smoke(reps: usize) {
     let bundle1 = render_postmortem("bench-obs", &incidents, &tel1.causal);
     let bundle4 = render_postmortem("bench-obs", &incidents4, &tel4.causal);
     if bundle1 != bundle4 {
-        eprintln!("FAIL: postmortem bundle depends on thread count");
-        std::process::exit(1);
+        fail("postmortem bundle depends on thread count");
     }
     if tel1.metrics.to_prometheus() != tel4.metrics.to_prometheus() {
-        eprintln!("FAIL: traced prometheus exposition depends on thread count");
-        std::process::exit(1);
+        fail("traced prometheus exposition depends on thread count");
     }
 
     // Interleave untraced and traced rounds and gate on the median of
-    // the per-round ratios — separate batches would let machine-load
-    // drift masquerade as overhead (same discipline as the anticipation
-    // smoke).
+    // the per-round ratios (same discipline as the anticipation smoke).
     std::hint::black_box(serve_traced(1));
-    let round = |f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        for _ in 0..SERVES_PER_ROUND {
-            f();
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let mut untraced_times = Vec::with_capacity(reps);
-    let mut traced_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let b = round(&mut || {
-            std::hint::black_box(serve_untraced(1));
-        });
-        let t = round(&mut || {
-            std::hint::black_box(serve_traced(1));
-        });
-        untraced_times.push(b);
-        traced_times.push(t);
-        ratios.push(t / b);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let untraced_secs = median(&mut untraced_times);
-    let traced_secs = median(&mut traced_times);
-    let overhead = median(&mut ratios);
+    let (untraced_secs, traced_secs, overhead) = interleaved(
+        reps,
+        repeat(SERVES_PER_ROUND, || serve_untraced(1)),
+        repeat(SERVES_PER_ROUND, || serve_traced(1)),
+    );
     if overhead > 1.15 {
-        eprintln!("FAIL: causal tracing overhead {overhead:.3}x exceeds the 1.15x budget");
-        std::process::exit(1);
+        fail(&format!(
+            "causal tracing overhead {overhead:.3}x exceeds the 1.15x budget"
+        ));
     }
 
     let slack_deficit_ticks: u64 = tel1.causal.paths().iter().map(|p| p.slack_deficit).sum();
@@ -1310,8 +1238,7 @@ fn run_dcsp_smoke(reps: usize) {
     let full = is_k_recoverable_exhaustive_parallel(&start, &env, &greedy, 4, 4, &ctx4);
     let reference = recoverability_reference(&start, &env, &greedy, 4, 4);
     if sym_report != full || sym_report != reference || sym_report != sym_report1 {
-        eprintln!("FAIL: symmetric recoverability report differs from the reference paths");
-        std::process::exit(1);
+        fail("symmetric recoverability report differs from the reference paths");
     }
 
     let ref_secs = median_secs(reps, || {
@@ -1325,11 +1252,10 @@ fn run_dcsp_smoke(reps: usize) {
     });
     let speedup = ref_secs / sym1_secs;
     if speedup <= 2.8 {
-        eprintln!(
-            "FAIL: symmetry reduction speedup {speedup:.2}x does not clear the 2.8x \
+        fail(&format!(
+            "symmetry reduction speedup {speedup:.2}x does not clear the 2.8x \
              memoization ceiling"
-        );
-        std::process::exit(1);
+        ));
     }
 
     // Gate 2: the compressed engine agrees with the dense path at the
@@ -1340,8 +1266,7 @@ fn run_dcsp_smoke(reps: usize) {
     if comp20.frontier_sizes != dense20.frontier_sizes()
         || comp20.hopeless != dense20.hopeless_states().len() as u64
     {
-        eprintln!("FAIL: compressed frontiers differ from the dense analysis at 2^20");
-        std::process::exit(1);
+        fail("compressed frontiers differ from the dense analysis at 2^20");
     }
 
     // The headline run: 2^30 states — 64x beyond the dense cap — in a
@@ -1356,14 +1281,12 @@ fn run_dcsp_smoke(reps: usize) {
     let big4 = analyze_bit_dcsp_frontiers(BIG, &env30, 4);
     let big4_secs = t0.elapsed().as_secs_f64();
     if big1 != big4 {
-        eprintln!("FAIL: 2^30 frontier summary depends on thread count");
-        std::process::exit(1);
+        fail("2^30 frontier summary depends on thread count");
     }
     let arena_bytes = 3 * (1u64 << (BIG - 6)) * 8;
     let dense24_bytes = (1u64 << 24) * 36;
     if arena_bytes > dense24_bytes {
-        eprintln!("FAIL: compressed 2^30 arena exceeds the dense 2^24 footprint");
-        std::process::exit(1);
+        fail("compressed 2^30 arena exceeds the dense 2^24 footprint");
     }
 
     // Adversarial level sets at 2^26 — also beyond the dense cap.
@@ -1375,8 +1298,7 @@ fn run_dcsp_smoke(reps: usize) {
     let adv4 = analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 4);
     let adv4_secs = t0.elapsed().as_secs_f64();
     if adv1 != adv4 {
-        eprintln!("FAIL: 2^26 adversarial summary depends on thread count");
-        std::process::exit(1);
+        fail("2^26 adversarial summary depends on thread count");
     }
 
     let cases = sym_report.cases as f64;
@@ -1457,8 +1379,7 @@ fn main() {
     let engine_report = is_k_recoverable_exhaustive(&start16, &env16, &greedy, 3, 3);
     let reference_report = recoverability_reference(&start16, &env16, &greedy, 3, 3);
     if engine_report != reference_report {
-        eprintln!("FAIL: engine and reference recoverability reports differ");
-        std::process::exit(1);
+        fail("engine and reference recoverability reports differ");
     }
     let cases16 = engine_report.cases as f64;
     let engine_secs = median_secs(reps, || {
@@ -1476,8 +1397,7 @@ fn main() {
     let serial = is_k_recoverable_exhaustive_parallel(&start24, &env24, &greedy, 4, 4, &ctx1);
     let parallel = is_k_recoverable_exhaustive_parallel(&start24, &env24, &greedy, 4, 4, &ctx4);
     if serial != parallel {
-        eprintln!("FAIL: recoverability report depends on thread count");
-        std::process::exit(1);
+        fail("recoverability report depends on thread count");
     }
     let cases24 = serial.cases as f64;
     let t1_secs = median_secs(reps, || {
@@ -1491,8 +1411,7 @@ fn main() {
     let env12 = AtLeastOnes::new(12, 10);
     let ts12 = TransitionSystem::from_bit_dcsp(12, &env12, 2);
     if ts12.analyze() != ts12.analyze_reference() {
-        eprintln!("FAIL: CSR analyze and reference reports differ");
-        std::process::exit(1);
+        fail("CSR analyze and reference reports differ");
     }
     let csr_secs = median_secs(reps, || ts12.analyze());
     let ref_secs = median_secs(reps, || ts12.analyze_reference());
@@ -1505,8 +1424,7 @@ fn main() {
     let adv1 = analyze_bit_dcsp_adversarial(n, &env20, 2, 1);
     let adv4 = analyze_bit_dcsp_adversarial(n, &env20, 2, 4);
     if adv1 != adv4 {
-        eprintln!("FAIL: implicit adversarial report depends on thread count");
-        std::process::exit(1);
+        fail("implicit adversarial report depends on thread count");
     }
     let adv1_secs = median_secs(reps, || analyze_bit_dcsp_adversarial(n, &env20, 2, 1));
     let adv4_secs = median_secs(reps, || analyze_bit_dcsp_adversarial(n, &env20, 2, 4));

@@ -110,7 +110,7 @@ impl Bulkhead {
     /// this bound may finish early, never pathologically late).
     pub fn estimated_completion_ticks(&self, work: u64) -> u64 {
         let aggregate = self.rate * self.servers as u64;
-        (self.backlog() + work).div_ceil(aggregate)
+        self.backlog().saturating_add(work).div_ceil(aggregate)
     }
 
     /// One coherent, non-mutating snapshot of the compartment's load —

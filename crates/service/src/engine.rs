@@ -29,6 +29,12 @@
 //! values — replays exactly for any `threads`, which is what the replay
 //! tests assert.
 //!
+//! **Telemetry.** The loop records no telemetry. A traced serve
+//! ([`ServiceEngine::serve_traced`]) runs the same loop and only appends
+//! compact `(tick, note)` entries to a decision record; the trace, Q(t)
+//! attribution, causal span trees and incidents are folded from that
+//! record and the report after the run ([`crate::telemetry`]).
+//!
 //! **Q(t) definition.** For a tick with `n > 0` adjudications,
 //! `Q(t) = 100 · (1 − deficit/n)` where each shed or failed request
 //! contributes `1.0` to the deficit and each degraded response
@@ -48,11 +54,8 @@ use resilience_core::faults::{FaultKind, FaultPlan};
 use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
 use resilience_core::rng::derive_seed;
 use resilience_core::runtime::ParallelTrials;
-use resilience_telemetry::causal::{
-    AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
-};
-use resilience_telemetry::incident::TriggerKind;
-use resilience_telemetry::{DeficitCause, Event, Telemetry};
+use resilience_telemetry::causal::{AttemptKind, ShedGate};
+use resilience_telemetry::Telemetry;
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::brownout::{BrownoutConfig, BrownoutController};
@@ -61,6 +64,7 @@ use crate::replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
 };
 use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason};
+use crate::telemetry::{DecisionRecord, Note};
 
 /// Tuning of the serving layer. All quantities are logical-clock units;
 /// `threads` is the only physical knob and never changes any output.
@@ -299,16 +303,19 @@ impl ServiceEngine {
     /// given chaos plan damages the same requests no matter how the
     /// service schedules them.
     pub fn serve(&self, trace: &RequestTrace, plan: &FaultPlan) -> ServiceReport {
-        Serve::new(&self.config, trace, plan, None).run()
+        Serve::new(&self.config, trace, plan, false).run().0
     }
 
-    /// [`ServiceEngine::serve`] with the telemetry spine attached:
-    /// every admission verdict, disposition, cache hit/miss, breaker
-    /// transition, brownout move, and bulkhead occupancy change is
-    /// recorded into `telemetry` as it happens, the trajectory observer
-    /// is charged in the exact order the engine accumulates its own
-    /// deficit (so the observed Q(t) is bit-identical to the report's),
-    /// and the service metric families are registered at the end.
+    /// [`ServiceEngine::serve`] with the telemetry spine attached. The
+    /// same tick loop runs, additionally keeping a compact decision
+    /// record; after the run [`crate::telemetry`] folds that record
+    /// together with the report's tick-stamped histories into
+    /// `telemetry`: every admission verdict, disposition, cache
+    /// hit/miss, breaker transition, brownout move, and bulkhead
+    /// occupancy change lands on the tick it happened, the trajectory
+    /// observer is charged in the exact order the engine accumulated its
+    /// own deficit (so the observed Q(t) is bit-identical to the
+    /// report's), and the service metric families are registered.
     ///
     /// The returned report is byte-identical to what [`serve`]
     /// (telemetry off) produces for the same inputs — recording only
@@ -321,7 +328,11 @@ impl ServiceEngine {
         plan: &FaultPlan,
         telemetry: &mut Telemetry,
     ) -> ServiceReport {
-        Serve::new(&self.config, trace, plan, Some(telemetry)).run()
+        let (report, record) = Serve::new(&self.config, trace, plan, true).run();
+        if let Some(record) = record {
+            crate::telemetry::fold(telemetry, &self.config, trace, &report, &record);
+        }
+        report
     }
 
     /// Work units actually scheduled for a request at `fidelity`.
@@ -349,18 +360,16 @@ impl ServiceEngine {
 
 /// One dispatched attempt of an in-flight request.
 #[derive(Debug, Clone, Copy)]
-struct Attempt {
-    replica: u32,
-    kind: AttemptKind,
-    fidelity: Fidelity,
+pub(crate) struct Attempt {
+    pub(crate) replica: u32,
+    pub(crate) kind: AttemptKind,
+    pub(crate) fidelity: Fidelity,
     fault: Option<FaultKind>,
     correlated: bool,
-    /// Tick the attempt entered its bulkhead queue.
-    enqueued: u64,
     /// Scheduled work before fault inflation.
-    base_work: u64,
+    pub(crate) base_work: u64,
     /// Scheduled work after fault inflation (delay/gray).
-    work: u64,
+    pub(crate) work: u64,
 }
 
 impl Attempt {
@@ -370,21 +379,6 @@ impl Attempt {
     /// never sees it.
     fn dies(&self) -> bool {
         self.correlated || matches!(self.fault, Some(FaultKind::Panic | FaultKind::Poison))
-    }
-
-    /// Causal sketch of this attempt with the given resolution.
-    fn sketch(&self, rate: u64, completed: Option<u64>, won: bool, failed: bool) -> AttemptSketch {
-        AttemptSketch {
-            replica: self.replica,
-            kind: self.kind,
-            enqueued: self.enqueued,
-            base_work: self.base_work,
-            work: self.work,
-            rate,
-            completed,
-            won,
-            failed,
-        }
     }
 }
 
@@ -403,15 +397,14 @@ struct Flight {
 }
 
 /// How a request was settled — the shape of its causal sketch.
-enum Resolution {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resolution {
     /// At admission: shed or answered from cache, with the evidence of
     /// the gate that shed it.
     Admission(Option<ShedGate>),
-    /// An attempt answered; its racing sibling, if any, was cancelled.
-    Won {
-        winner: Attempt,
-        cancelled: Option<Attempt>,
-    },
+    /// The attempt on `replica` answered; its racing sibling, if any,
+    /// was cancelled and `reclaimed` work units with it.
+    Won { replica: u32, reclaimed: u64 },
     /// Every attempt died: the cached answer stood in, or, with
     /// degradation off, the request failed.
     Fallback,
@@ -429,7 +422,8 @@ struct Serve<'a> {
     cfg: &'a ServiceConfig,
     trace: &'a RequestTrace,
     plan: &'a FaultPlan,
-    tel: Option<&'a mut Telemetry>,
+    /// The decision record, kept only by a traced serve.
+    record: Option<DecisionRecord>,
     /// Whether a replication config is set (and the replica outputs of
     /// the report exist).
     replicated: bool,
@@ -448,10 +442,6 @@ struct Serve<'a> {
     /// force, in milli-units (1000 when anticipation is off).
     deadline_scale_milli: u64,
     flights: Vec<Option<Flight>>,
-    /// Attempts that already died, as `(request id, attempt, death
-    /// tick)` — kept only when tracing, until their request settles, so
-    /// its span tree covers every attempt it ran.
-    dead: Vec<(u64, Attempt, u64)>,
     outcomes: Vec<Option<RequestOutcome>>,
     replica_log: Vec<Option<ReplicaOutcome>>,
     per_family: Vec<FamilyStats>,
@@ -481,7 +471,7 @@ impl<'a> Serve<'a> {
         cfg: &'a ServiceConfig,
         trace: &'a RequestTrace,
         plan: &'a FaultPlan,
-        tel: Option<&'a mut Telemetry>,
+        traced: bool,
     ) -> Self {
         let n_families = trace.families.len().max(1);
         let pool = ParallelTrials::new(cfg.threads);
@@ -515,13 +505,13 @@ impl<'a> Serve<'a> {
             cfg,
             trace,
             plan,
-            tel,
+            record: traced.then(|| DecisionRecord::new(n_families)),
             replicated,
             hedge_fraction_milli: rcfg.hedge_fraction_milli,
             pool,
             backend_master,
             cached_values,
-            delay_work: plan.delay.as_millis() as u64 * cfg.rate_per_server,
+            delay_work: (plan.delay.as_millis() as u64).saturating_mul(cfg.rate_per_server),
             sets,
             budgets: vec![
                 RetryBudget::new(rcfg.budget_capacity, rcfg.budget_refill_milli);
@@ -537,7 +527,6 @@ impl<'a> Serve<'a> {
             brownout: BrownoutController::new(cfg.brownout.clone()),
             deadline_scale_milli: 1000,
             flights: vec![None; trace.len()],
-            dead: Vec::new(),
             outcomes: vec![None; trace.len()],
             replica_log: if replicated {
                 vec![None; trace.len()]
@@ -559,8 +548,9 @@ impl<'a> Serve<'a> {
     /// The tick loop. Per tick: refill the retry budgets; advance every
     /// replica's bulkhead and adjudicate completions; admit the tick's
     /// arrivals in trace order; sample Q(t) and feed the brownout and
-    /// anticipation controllers.
-    fn run(mut self) -> ServiceReport {
+    /// anticipation controllers. Returns the report and, for a traced
+    /// serve, the decision record.
+    fn run(mut self) -> (ServiceReport, Option<DecisionRecord>) {
         let cfg = self.cfg;
         let trace = self.trace;
         let n_families = self.sets.len();
@@ -595,19 +585,8 @@ impl<'a> Serve<'a> {
                     .saturating_mul(3)
                     .saturating_mul(self.plan.gray_factor.max(1)),
             )
-            .saturating_add((trace.len() as u64).saturating_mul(3 * self.delay_work))
+            .saturating_add((trace.len() as u64).saturating_mul(self.delay_work.saturating_mul(3)))
             .saturating_add(cfg.breaker_cooldown + 1000);
-
-        // Telemetry cursors: breaker transitions already emitted per
-        // (family, replica), brownout moves and mode transitions already
-        // emitted, the last warning score, and the last summed queued
-        // depth per family (occupancy events fire on change only).
-        let mut seen_transitions: Vec<Vec<usize>> =
-            self.sets.iter().map(|s| vec![0; s.len()]).collect();
-        let mut seen_brownout = 0usize;
-        let mut seen_modes = 0usize;
-        let mut last_warning: Option<u64> = None;
-        let mut last_queued: Vec<Option<usize>> = vec![None; n_families];
         let mut completed = Vec::new();
 
         while self.pending > 0 {
@@ -697,87 +676,11 @@ impl<'a> Serve<'a> {
                     };
                 }
             }
-            if let Some(tel) = self.tel.as_deref_mut() {
-                // State-machine events surfaced once per change, in
-                // (family, replica) order — all at the current tick, so
-                // the lane-0 buffer stays tick-ordered.
-                for (fam, set) in self.sets.iter().enumerate() {
-                    for (r, breaker) in set.breakers.iter().enumerate() {
-                        let all = breaker.transitions();
-                        for t in &all[seen_transitions[fam][r]..] {
-                            tel.tracer.record(
-                                tick,
-                                Event::BreakerTransition {
-                                    family: fam as u32,
-                                    from: t.from.to_string(),
-                                    to: t.to.to_string(),
-                                },
-                            );
-                        }
-                        seen_transitions[fam][r] = all.len();
-                    }
-                }
-                for &(_, level) in &self.brownout.history()[seen_brownout..] {
-                    tel.tracer
-                        .record(tick, Event::BrownoutLevelChange { level });
-                }
-                seen_brownout = self.brownout.history().len();
-                if let Some((controller, _)) = anticipation.as_ref() {
-                    for t in &controller.transitions()[seen_modes..] {
-                        tel.tracer.record(
-                            tick,
-                            Event::ModeTransition {
-                                from: t.from.to_string(),
-                                to: t.to.to_string(),
-                                score_milli: t.score_milli,
-                            },
-                        );
-                        if t.is_escalation() {
-                            // Emergency escalation trips the flight
-                            // recorder at the transition's own tick.
-                            let captured = tel.incidents.trigger(
-                                t.tick,
-                                TriggerKind::ModeEscalation,
-                                t.score_milli,
-                                format!("{}->{}", t.from, t.to),
-                            );
-                            tel.tracer.record(
-                                tick,
-                                Event::IncidentSnapshot {
-                                    trigger: TriggerKind::ModeEscalation.as_str().to_string(),
-                                    trigger_tick: t.tick,
-                                    captured,
-                                },
-                            );
-                        }
-                    }
-                    seen_modes = controller.transitions().len();
-                    let score = controller.score_milli();
-                    if last_warning != Some(score) {
-                        tel.tracer
-                            .record(tick, Event::WarningScore { score_milli: score });
-                        last_warning = Some(score);
-                    }
-                }
+            if let Some(record) = self.record.as_mut() {
                 for (fam, set) in self.sets.iter().enumerate() {
                     let (queued, capacity) = set.queued_and_capacity();
-                    if last_queued[fam] != Some(queued) {
-                        tel.tracer.record(
-                            tick,
-                            Event::BulkheadOccupancy {
-                                family: fam as u32,
-                                queued: queued as u32,
-                                capacity: capacity as u32,
-                            },
-                        );
-                        last_queued[fam] = Some(queued);
-                    }
+                    record.queue_depth(tick, fam, queued, capacity);
                 }
-                // The observer accumulated the same penalties in the
-                // same order as `deficit`, so its sample is
-                // bit-identical to the engine's own.
-                let observed = tel.trajectory.end_tick(adjudicated);
-                debug_assert_eq!(observed.to_bits(), q.to_bits());
             }
             tick += 1;
         }
@@ -816,15 +719,7 @@ impl<'a> Serve<'a> {
             quality: self.quality,
             ticks: tick,
         };
-        if let Some(tel) = self.tel {
-            record_service_metrics(&mut tel.metrics, &report);
-            if !tel.causal.is_empty() {
-                resilience_telemetry::record_causal_metrics(&mut tel.metrics, &tel.causal);
-                let incidents = tel.incidents.finalize(&tel.causal, &report.warning_scores);
-                resilience_telemetry::record_incident_metrics(&mut tel.metrics, &incidents);
-            }
-        }
-        report
+        (report, self.record)
     }
 
     /// Put an anticipation mode's policy set in force: brownout floor
@@ -854,9 +749,9 @@ impl<'a> Serve<'a> {
         // about to stop draining. Integer milli-scaling keeps the
         // effective deadline a pure function of logical state.
         let deadline = request.deadline.saturating_mul(self.deadline_scale_milli) / 1000;
-        if let Some((disposition, penalty, gate)) = self.admit(&request, fam, deadline, tick) {
+        if let Some((disposition, gate)) = self.admit(&request, fam, deadline, tick) {
             let how = Resolution::Admission(gate);
-            self.decide(&request, fam, deadline, tick, disposition, penalty, how);
+            self.decide(&request, fam, deadline, tick, disposition, how);
         }
     }
 
@@ -864,16 +759,16 @@ impl<'a> Serve<'a> {
     /// in index order) → brownout level → queue room → deadline
     /// feasibility, then route the primary to the best-ranked replica
     /// that fits and possibly launch a hedge. Returns the immediate
-    /// disposition (cached answer or shed) with its penalty and, for
-    /// sheds, the gate evidence the critical-path extractor blames — or
-    /// `None` when the request was dispatched.
+    /// disposition (cached answer or shed) and, for sheds, the gate
+    /// evidence the critical-path extractor blames — or `None` when the
+    /// request was dispatched.
     fn admit(
         &mut self,
         request: &Request,
         fam: usize,
         deadline: u64,
         tick: u64,
-    ) -> Option<(Disposition, f64, Option<ShedGate>)> {
+    ) -> Option<(Disposition, Option<ShedGate>)> {
         let cfg = self.cfg;
         let cached = (
             Disposition::Served {
@@ -881,7 +776,6 @@ impl<'a> Serve<'a> {
                 latency: 0,
                 value: self.cached_values[fam],
             },
-            cfg.cached_penalty,
             None,
         );
         // The gate is mutating: a half-open breaker admits exactly one
@@ -907,7 +801,6 @@ impl<'a> Serve<'a> {
                 Disposition::Shed {
                     reason: ShedReason::BreakerOpen,
                 },
-                1.0,
                 Some(ShedGate::BreakerOpen { open_since }),
             ));
         }
@@ -932,7 +825,6 @@ impl<'a> Serve<'a> {
                 Disposition::Shed {
                     reason: ShedReason::QueueFull,
                 },
-                1.0,
                 Some(ShedGate::QueueFull {
                     backlog: self.sets[fam].backlog(),
                     aggregate_rate,
@@ -961,31 +853,10 @@ impl<'a> Serve<'a> {
                     fidelity,
                     fault,
                     correlated,
-                    enqueued: tick,
                     base_work,
                     work,
                 };
-                self.dispatch(fam, request.id, &primary);
-                if let Some(tel) = self.tel.as_deref_mut() {
-                    if self.replicated {
-                        tel.tracer.record(
-                            tick,
-                            Event::ReplicaRouted {
-                                id: request.id,
-                                family: fam as u32,
-                                replica: r,
-                            },
-                        );
-                    }
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestAdmitted {
-                            id: request.id,
-                            family: fam as u32,
-                            fidelity: fidelity.to_string(),
-                        },
-                    );
-                }
+                self.dispatch(fam, request.id, primary, tick);
                 let mut flight = Flight {
                     request: *request,
                     deadline,
@@ -1002,7 +873,6 @@ impl<'a> Serve<'a> {
             Disposition::Shed {
                 reason: ShedReason::DeadlineUnmeetable,
             },
-            1.0,
             Some(ShedGate::DeadlineUnmeetable {
                 backlog: self.sets[fam].backlog(),
                 aggregate_rate,
@@ -1039,21 +909,17 @@ impl<'a> Serve<'a> {
             return;
         };
         if !self.budgets[fam].try_spend() {
-            self.record_exhausted(tick, fam, "hedge");
-            return;
-        }
-        self.dispatch(fam, flight.request.id, &hedge);
-        self.rstats[fam].hedges_launched += 1;
-        if let Some(tel) = self.tel.as_deref_mut() {
-            tel.tracer.record(
+            self.note(
                 tick,
-                Event::HedgeLaunched {
-                    id: flight.request.id,
-                    family: fam as u32,
-                    replica: hedge.replica,
+                Note::Refused {
+                    fam,
+                    kind: AttemptKind::Hedge,
                 },
             );
+            return;
         }
+        self.dispatch(fam, flight.request.id, hedge, tick);
+        self.rstats[fam].hedges_launched += 1;
         flight.live[1] = Some(hedge);
         flight.hedged = true;
     }
@@ -1092,7 +958,6 @@ impl<'a> Serve<'a> {
                     fidelity,
                     fault,
                     correlated,
-                    enqueued: tick,
                     base_work,
                     work,
                 });
@@ -1122,16 +987,15 @@ impl<'a> Serve<'a> {
     /// plan's fixed delay work; a gray backend still answers, just
     /// slower, so its work is multiplied by `gray_factor`.
     fn inflate(&self, base_work: u64, fault: Option<FaultKind>) -> u64 {
-        base_work
-            + match fault {
-                Some(FaultKind::Delay) => self.delay_work,
-                Some(FaultKind::Gray) => base_work.saturating_mul(self.plan.gray_factor.max(1) - 1),
-                _ => 0,
-            }
+        base_work.saturating_add(match fault {
+            Some(FaultKind::Delay) => self.delay_work,
+            Some(FaultKind::Gray) => base_work.saturating_mul(self.plan.gray_factor.max(1) - 1),
+            _ => 0,
+        })
     }
 
-    /// Enqueue `attempt` on its replica and count it.
-    fn dispatch(&mut self, fam: usize, id: u64, attempt: &Attempt) {
+    /// Enqueue `attempt` on its replica at `tick`, count it, and note it.
+    fn dispatch(&mut self, fam: usize, id: u64, attempt: Attempt, tick: u64) {
         let r = attempt.replica as usize;
         self.sets[fam].bulkheads[r].admit(Job {
             id,
@@ -1142,17 +1006,13 @@ impl<'a> Serve<'a> {
         stats.routed += 1;
         stats.correlated_hits += u64::from(attempt.correlated);
         stats.gray_slots += u64::from(attempt.fault == Some(FaultKind::Gray));
+        self.note(tick, Note::Dispatched { id, attempt });
     }
 
-    fn record_exhausted(&mut self, tick: u64, fam: usize, kind: &str) {
-        if let Some(tel) = self.tel.as_deref_mut() {
-            tel.tracer.record(
-                tick,
-                Event::RetryBudgetExhausted {
-                    family: fam as u32,
-                    kind: kind.to_string(),
-                },
-            );
+    /// Append `note` to the decision record of a traced serve.
+    fn note(&mut self, tick: u64, note: Note) {
+        if let Some(record) = self.record.as_mut() {
+            record.push(tick, note);
         }
     }
 
@@ -1192,20 +1052,7 @@ impl<'a> Serve<'a> {
                 .map_or(0, |job| job.work);
             self.rstats[fam].reclaimed_work += reclaimed;
             let hedge_won = slot.kind == AttemptKind::Hedge;
-            if hedge_won {
-                self.rstats[fam].hedges_won += 1;
-                if let Some(tel) = self.tel.as_deref_mut() {
-                    tel.tracer.record(
-                        tick,
-                        Event::HedgeWon {
-                            id,
-                            family: fam as u32,
-                            replica,
-                            reclaimed,
-                        },
-                    );
-                }
-            }
+            self.rstats[fam].hedges_won += u64::from(hedge_won);
             if self.replicated {
                 self.replica_log[idx] = Some(ReplicaOutcome {
                     id,
@@ -1215,38 +1062,20 @@ impl<'a> Serve<'a> {
                     failed_over: flight.failed_over,
                 });
             }
-            let penalty = match slot.fidelity {
-                Fidelity::Full => 0.0,
-                Fidelity::Reduced => cfg.reduced_penalty,
-                Fidelity::Cached => cfg.cached_penalty,
-            };
             let disposition = Disposition::Served {
                 fidelity: slot.fidelity,
                 latency,
                 value,
             };
-            let how = Resolution::Won {
-                winner: slot,
-                cancelled: sibling,
-            };
-            self.decide(
-                &request,
-                fam,
-                flight.deadline,
-                tick,
-                disposition,
-                penalty,
-                how,
-            );
+            let how = Resolution::Won { replica, reclaimed };
+            self.decide(&request, fam, flight.deadline, tick, disposition, how);
             return;
         }
 
         // The attempt died: record the failure, then keep racing, fail
         // over, or fall back.
         self.sets[fam].breakers[replica as usize].record_failure(tick);
-        if self.tel.is_some() {
-            self.dead.push((id, slot, tick));
-        }
+        self.note(tick, Note::Died { id, replica });
         if sibling.is_some() {
             // The sibling attempt is still racing — the request's fate
             // rides on it now.
@@ -1271,39 +1100,31 @@ impl<'a> Serve<'a> {
             );
             if let Some(failover) = target {
                 if self.budgets[fam].try_spend() {
-                    self.dispatch(fam, id, &failover);
+                    self.dispatch(fam, id, failover, tick);
                     self.rstats[fam].failovers += 1;
-                    if let Some(tel) = self.tel.as_deref_mut() {
-                        tel.tracer.record(
-                            tick,
-                            Event::ReplicaFailover {
-                                id,
-                                family: fam as u32,
-                                from_replica: replica,
-                                to_replica: failover.replica,
-                            },
-                        );
-                    }
                     flight.failed_over = true;
                     flight.live = [Some(failover), None];
                     self.flights[idx] = Some(flight);
                     return;
                 }
-                self.record_exhausted(tick, fam, "failover");
+                self.note(
+                    tick,
+                    Note::Refused {
+                        fam,
+                        kind: AttemptKind::Failover,
+                    },
+                );
             }
         }
         // No replica left to try: degrade to the cached answer, or fail
         // hard with degradation off.
         self.flights[idx] = None;
-        let (disposition, penalty) = if cfg.degradation {
-            (
-                Disposition::Served {
-                    fidelity: Fidelity::Cached,
-                    latency,
-                    value: self.cached_values[fam],
-                },
-                cfg.cached_penalty,
-            )
+        let disposition = if cfg.degradation {
+            Disposition::Served {
+                fidelity: Fidelity::Cached,
+                latency,
+                value: self.cached_values[fam],
+            }
         } else {
             let cause = if slot.correlated {
                 "correlated-failure"
@@ -1312,30 +1133,18 @@ impl<'a> Serve<'a> {
             } else {
                 "poisoned-result"
             };
-            (
-                Disposition::Failed {
-                    cause: cause.to_string(),
-                },
-                1.0,
-            )
+            Disposition::Failed {
+                cause: cause.to_string(),
+            }
         };
         let how = Resolution::Fallback;
-        self.decide(
-            &request,
-            fam,
-            flight.deadline,
-            tick,
-            disposition,
-            penalty,
-            how,
-        );
+        self.decide(&request, fam, flight.deadline, tick, disposition, how);
     }
 
     /// Settle `request`: tally it, charge its penalty to this tick's
-    /// Q(t), log its outcome, and — when tracing — record its events,
-    /// its causal sketch over every attempt it ran, and the flight
-    /// recorder's sighting.
-    #[allow(clippy::too_many_arguments)]
+    /// Q(t) — nothing at full fidelity, the configured penalty when
+    /// degraded, the whole request when shed or failed — log its
+    /// outcome, and note how it was resolved.
     fn decide(
         &mut self,
         request: &Request,
@@ -1343,118 +1152,32 @@ impl<'a> Serve<'a> {
         deadline: u64,
         tick: u64,
         disposition: Disposition,
-        penalty: f64,
         how: Resolution,
     ) {
         let stats = &mut self.per_family[fam];
-        match &disposition {
+        let (count, penalty) = match &disposition {
             Disposition::Served { fidelity, .. } => match fidelity {
-                Fidelity::Full => stats.served_full += 1,
-                Fidelity::Reduced => stats.served_reduced += 1,
-                Fidelity::Cached => stats.served_cached += 1,
+                Fidelity::Full => (&mut stats.served_full, 0.0),
+                Fidelity::Reduced => (&mut stats.served_reduced, self.cfg.reduced_penalty),
+                Fidelity::Cached => (&mut stats.served_cached, self.cfg.cached_penalty),
             },
-            Disposition::Shed { .. } => {
-                stats.shed += 1;
-                self.hard += 1;
-            }
-            Disposition::Failed { .. } => {
-                stats.failed += 1;
-                self.hard += 1;
-            }
-        }
-        if let Some(tel) = self.tel.as_deref_mut() {
-            let (id, family) = (request.id, fam as u32);
-            let outcome = match &disposition {
-                Disposition::Served {
-                    fidelity, latency, ..
-                } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestServed {
-                            id,
-                            family,
-                            fidelity: fidelity.to_string(),
-                            latency: *latency,
-                        },
-                    );
-                    tel.tracer.record(
-                        tick,
-                        match fidelity {
-                            Fidelity::Cached => Event::CacheHit { family },
-                            _ => Event::CacheMiss { family },
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                    SketchOutcome::Served {
-                        fidelity: fidelity.to_string(),
-                        latency: *latency,
-                        fallback: matches!(how, Resolution::Fallback),
-                    }
-                }
-                Disposition::Shed { reason } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestShed {
-                            id,
-                            family,
-                            reason: reason.to_string(),
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Shed, penalty);
-                    SketchOutcome::Shed {
-                        reason: reason.to_string(),
-                    }
-                }
-                Disposition::Failed { cause } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestFailed {
-                            id,
-                            family,
-                            cause: cause.clone(),
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Failed, penalty);
-                    SketchOutcome::Failed {
-                        cause: cause.clone(),
-                    }
-                }
-            };
-            // Dead attempts failed at their death tick, the winner won
-            // now, a cancelled loser carries no completion tick.
-            let rate = self.cfg.rate_per_server;
-            let mut attempts = Vec::new();
-            self.dead.retain(|&(owner, attempt, died)| {
-                if owner == id {
-                    attempts.push(attempt.sketch(rate, Some(died), false, true));
-                }
-                owner != id
-            });
-            let mut gate = None;
-            match how {
-                Resolution::Admission(g) => gate = g,
-                Resolution::Won { winner, cancelled } => {
-                    attempts.push(winner.sketch(rate, Some(tick), true, false));
-                    attempts.extend(cancelled.map(|a| a.sketch(rate, None, false, false)));
-                }
-                Resolution::Fallback => {}
-            }
-            attempts.sort_by_key(|a| (a.enqueued, a.replica));
-            tel.causal.record(&RequestSketch {
-                trial: 0,
+            Disposition::Shed { .. } => (&mut stats.shed, 1.0),
+            Disposition::Failed { .. } => (&mut stats.failed, 1.0),
+        };
+        *count += 1;
+        self.hard += u64::from(!matches!(disposition, Disposition::Served { .. }));
+        let id = request.id;
+        self.note(
+            tick,
+            Note::Settled {
                 id,
-                family,
-                arrival: request.arrival,
                 deadline,
-                decided_at: tick,
-                outcome,
-                attempts,
-                gate,
-            });
-            tel.incidents.observe(family, id);
-        }
-        self.outcomes[slot_of(request.id)] = Some(RequestOutcome {
-            id: request.id,
+                penalty,
+                how,
+            },
+        );
+        self.outcomes[slot_of(id)] = Some(RequestOutcome {
+            id,
             family: fam,
             decided_at: tick,
             disposition,
@@ -1462,181 +1185,6 @@ impl<'a> Serve<'a> {
         self.deficit += penalty;
         self.adjudicated += 1;
         self.pending -= 1;
-    }
-}
-
-/// Register the service-layer metric families for `report` in
-/// `registry`. Called by [`ServiceEngine::serve_traced`] after the run;
-/// public so drivers can score an existing report into a shared
-/// registry. All values are pure functions of the report, so the
-/// exposition is as deterministic as the report itself.
-pub fn record_service_metrics(
-    registry: &mut resilience_telemetry::MetricsRegistry,
-    report: &ServiceReport,
-) {
-    registry.inc_counter(
-        "service_requests_total",
-        "Requests adjudicated by the serving layer",
-        report.total(),
-    );
-    registry.inc_counter(
-        "service_served_full_total",
-        "Requests served at full fidelity",
-        report.per_family.iter().map(|f| f.served_full).sum(),
-    );
-    registry.inc_counter(
-        "service_served_reduced_total",
-        "Requests served at reduced fidelity",
-        report.per_family.iter().map(|f| f.served_reduced).sum(),
-    );
-    registry.inc_counter(
-        "service_served_cached_total",
-        "Requests answered from the precomputed cache table",
-        report.per_family.iter().map(|f| f.served_cached).sum(),
-    );
-    registry.inc_counter(
-        "service_shed_total",
-        "Requests shed at admission",
-        report.shed(),
-    );
-    registry.inc_counter(
-        "service_failed_total",
-        "Requests failed hard (degradation off)",
-        report.failed(),
-    );
-    registry.inc_counter(
-        "service_breaker_transitions_total",
-        "Circuit-breaker state changes across all families",
-        report
-            .breaker_transitions
-            .iter()
-            .map(|t| t.len() as u64)
-            .sum(),
-    );
-    registry.inc_counter(
-        "service_brownout_changes_total",
-        "Brownout dimmer level changes",
-        report.brownout_history.len() as u64,
-    );
-    registry.set_gauge(
-        "service_ticks",
-        "Logical ticks the run spanned",
-        report.ticks as f64,
-    );
-    registry.set_gauge(
-        "service_goodput",
-        "Served fraction of all requests (any fidelity)",
-        report.goodput(),
-    );
-    registry.set_gauge(
-        "service_resilience_loss",
-        "Bruneau resilience loss of the run's Q(t)",
-        report.resilience_loss(),
-    );
-    for o in &report.outcomes {
-        if let Disposition::Served { latency, .. } = o.disposition {
-            registry.observe(
-                "service_latency_ticks",
-                "Served-request latency in logical ticks",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-                latency as f64,
-            );
-        }
-    }
-    // Anticipation families only exist on anticipatory runs: an empty
-    // warning-score log means the loop was off, and registering zeroed
-    // families would change the reactive arm's exposition bytes.
-    if !report.warning_scores.is_empty() {
-        registry.inc_counter(
-            "anticipate_mode_transitions_total",
-            "Operating-mode changes of the anticipation loop",
-            report.mode_transitions.len() as u64,
-        );
-        registry.set_gauge(
-            "anticipate_alert_ticks",
-            "Ticks spent in Alert mode",
-            report.alert_ticks as f64,
-        );
-        registry.set_gauge(
-            "anticipate_emergency_ticks",
-            "Ticks spent in Emergency mode",
-            report.emergency_ticks as f64,
-        );
-        registry.set_gauge(
-            "anticipate_warning_score_milli",
-            "Final warning score of the run, in milli-units",
-            report.warning_scores.last().copied().unwrap_or(0) as f64,
-        );
-        for &score in &report.warning_scores {
-            registry.observe(
-                "anticipate_warning_score_ticks",
-                "Per-tick warning score in milli-units",
-                &[50.0, 100.0, 200.0, 350.0, 500.0, 750.0, 900.0],
-                score as f64,
-            );
-        }
-    }
-    // Replication families only exist on replicated runs, mirroring
-    // the anticipation gate above: registering zeroed families would
-    // change the single-backend arm's exposition bytes.
-    if report.replication_active() {
-        registry.set_gauge(
-            "replica_factor",
-            "Replicas per family in the replicated serve path",
-            report
-                .replica_stats
-                .first()
-                .map_or(0.0, |s| s.replicas as f64),
-        );
-        registry.inc_counter(
-            "replica_attempts_total",
-            "Attempts dispatched to replicas (primaries + hedges + failovers)",
-            report.replica_stats.iter().map(|s| s.routed).sum(),
-        );
-        registry.inc_counter(
-            "replica_failovers_total",
-            "Failovers dispatched after a replica failure",
-            report.failovers(),
-        );
-        registry.inc_counter(
-            "replica_correlated_hits_total",
-            "Dispatched attempts felled by a correlated blast",
-            report.replica_stats.iter().map(|s| s.correlated_hits).sum(),
-        );
-        registry.inc_counter(
-            "replica_gray_slots_total",
-            "Dispatched attempts that drew a gray fault",
-            report.replica_stats.iter().map(|s| s.gray_slots).sum(),
-        );
-        registry.inc_counter(
-            "hedge_launched_total",
-            "Hedge attempts launched by the replica router",
-            report.hedges_launched(),
-        );
-        registry.inc_counter(
-            "hedge_won_total",
-            "Hedge attempts that won their race",
-            report.replica_stats.iter().map(|s| s.hedges_won).sum(),
-        );
-        registry.inc_counter(
-            "hedge_reclaimed_work_total",
-            "Work units reclaimed from cancelled hedge losers",
-            report.replica_stats.iter().map(|s| s.reclaimed_work).sum(),
-        );
-        registry.inc_counter(
-            "retry_budget_spent_total",
-            "Retry-budget tokens spent on hedges and failovers",
-            report.replica_stats.iter().map(|s| s.budget_spent).sum(),
-        );
-        registry.inc_counter(
-            "retry_budget_exhausted_total",
-            "Hedge/failover attempts rejected by an empty retry budget",
-            report
-                .replica_stats
-                .iter()
-                .map(|s| s.budget_exhausted)
-                .sum(),
-        );
     }
 }
 

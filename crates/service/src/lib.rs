@@ -25,6 +25,9 @@
 //!   deterministic parallel runtime, producing a [`ServiceReport`] with
 //!   the run's Q(t) trajectory and `R`. Every configuration runs through
 //!   it: without replication each family is a set of one replica.
+//! * [`telemetry`] — a traced serve's trace, Q(t) attribution, causal
+//!   span trees, incidents and metrics, folded after the run from the
+//!   loop's decision record and the report.
 //!
 //! Everything is driven by a logical clock and seeded randomness: a run
 //! under a given trace and [`FaultPlan`](resilience_core::faults::FaultPlan)
@@ -58,16 +61,16 @@ pub mod bulkhead;
 pub mod engine;
 pub mod replica;
 pub mod request;
+pub mod telemetry;
 
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use brownout::{BrownoutConfig, BrownoutController};
 pub use bulkhead::{Bulkhead, BulkheadProbe, Job};
-pub use engine::{
-    record_service_metrics, FamilyStats, ServiceConfig, ServiceEngine, ServiceReport,
-};
+pub use engine::{FamilyStats, ServiceConfig, ServiceEngine, ServiceReport};
 pub use replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
 };
 pub use request::{
     Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason, TraceSpec,
 };
+pub use telemetry::record_service_metrics;

@@ -7,10 +7,12 @@
 //! while scoring a strictly lower Bruneau resilience loss than the same
 //! run with degradation disabled.
 
-use resilience_core::faults::FaultPlan;
+use resilience_core::faults::{FaultConfig, FaultPlan};
 use resilience_service::{
-    Disposition, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
+    Disposition, ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport,
+    TraceSpec,
 };
+use resilience_telemetry::Telemetry;
 
 fn chaos_plan() -> FaultPlan {
     FaultPlan {
@@ -149,6 +151,50 @@ fn deadlines_are_honoured_for_served_requests() {
                 outcome.id,
                 request.deadline
             );
+        }
+    }
+}
+
+#[test]
+fn extreme_fault_magnitudes_saturate_instead_of_overflowing() {
+    // `--fault-plan` is untrusted input: a u64::MAX delay or gray factor
+    // must saturate the scheduled work (and so shed or degrade the
+    // request at admission), never wrap it into a cheap one or panic.
+    let trace = RequestTrace::generate(&TraceSpec::new(600, 42));
+    for spec in [
+        "seed=11,delay=0.5,delay_ms=18446744073709551615",
+        "seed=11,gray=0.5,gray_factor=18446744073709551615",
+    ] {
+        let plan = FaultConfig::parse(spec).expect("extreme plan parses").plan;
+        for degradation in [true, false] {
+            for replication in [None, Some(2)] {
+                let engine = |threads: usize| {
+                    ServiceEngine::new(ServiceConfig {
+                        threads,
+                        degradation,
+                        replication: replication.map(|replicas| ReplicationConfig {
+                            replicas,
+                            ..ReplicationConfig::default()
+                        }),
+                        ..ServiceConfig::default()
+                    })
+                };
+                let report = engine(1).serve(&trace, &plan);
+                let case = format!("{spec} degradation={degradation} replicas={replication:?}");
+                assert_eq!(report.total(), 600, "{case}: every request adjudicated");
+                if degradation {
+                    assert_eq!(report.failed(), 0, "{case}: no hard failure");
+                }
+                assert!(report.resilience_loss().is_finite(), "{case}");
+                assert_eq!(
+                    report,
+                    engine(4).serve(&trace, &plan),
+                    "{case}: report replays at 4 threads"
+                );
+                // The traced path scores the same saturated work.
+                let traced = engine(1).serve_traced(&trace, &plan, &mut Telemetry::new(1.0));
+                assert_eq!(report, traced, "{case}: tracing observes only");
+            }
         }
     }
 }

@@ -187,7 +187,7 @@ impl AttemptKind {
     }
 }
 
-/// One attempt's compact causal record, emitted by the engine.
+/// One attempt's compact causal record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptSketch {
     /// Replica index that hosted the attempt (0 when unreplicated).
@@ -302,7 +302,7 @@ pub struct RequestEntry {
 }
 
 /// Deterministic causal tracer: accumulates span trees and critical paths
-/// from engine-emitted sketches.
+/// from request sketches.
 #[derive(Debug, Clone, Default)]
 pub struct CausalTracer {
     spans: Vec<CausalSpan>,
@@ -618,7 +618,7 @@ fn decompose(sketch: &RequestSketch, latency: u64) -> (u64, Blame, BlameEdge) {
             _,
         ) => {
             let agg = (*aggregate_rate).max(1);
-            let est = (backlog + work).div_ceil(agg);
+            let est = backlog.saturating_add(*work).div_ceil(agg);
             deficit = est.saturating_sub(sketch.deadline).max(1);
             let svc = work.div_ceil(agg);
             let base = base_work.div_ceil(agg);
@@ -689,12 +689,15 @@ pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTrac
     let mut deficit = 0u64;
     let mut poles = [0u64; 5];
     for p in causal.paths() {
-        totals.queue_wait += p.blame.queue_wait;
-        totals.breaker_dwell += p.blame.breaker_dwell;
-        totals.gray_inflation += p.blame.gray_inflation;
-        totals.retry_backoff += p.blame.retry_backoff;
-        totals.intrinsic_work += p.blame.intrinsic_work;
-        deficit += p.slack_deficit;
+        // Saturating: a saturated fault magnitude (`delay_ms` or
+        // `gray_factor` at u64::MAX) leaves near-u64::MAX deficits.
+        let (t, b) = (&mut totals, &p.blame);
+        t.queue_wait = t.queue_wait.saturating_add(b.queue_wait);
+        t.breaker_dwell = t.breaker_dwell.saturating_add(b.breaker_dwell);
+        t.gray_inflation = t.gray_inflation.saturating_add(b.gray_inflation);
+        t.retry_backoff = t.retry_backoff.saturating_add(b.retry_backoff);
+        t.intrinsic_work = t.intrinsic_work.saturating_add(b.intrinsic_work);
+        deficit = deficit.saturating_add(p.slack_deficit);
         let ix = match p.longest_pole {
             BlameEdge::QueueWait => 0,
             BlameEdge::BreakerDwell => 1,

@@ -16,9 +16,6 @@
 //! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges, and
 //!   fixed-bucket histograms with Prometheus text exposition and JSON
 //!   export, both rendered in deterministic order.
-//! * [`spans`] — a chrome://tracing span emitter. Spans carry
-//!   *wall-clock* durations and live only in the perf side channel;
-//!   nothing deterministic reads them.
 //! * [`trajectory`] — live `Q(t)`/Bruneau scoring: a
 //!   [`TrajectoryObserver`] folds deficit charges into the quality
 //!   series incrementally and attributes the Bruneau deficit to cause
@@ -42,15 +39,18 @@
 //!
 //! # Determinism contract
 //!
-//! Telemetry is opt-in; engines take `Option<&mut Telemetry>` (or a
-//! `_traced` entry point) and the `None` path does no work. When on,
-//! everything recorded into [`Tracer`], [`MetricsRegistry`], and
-//! [`TrajectoryObserver`] is a pure function of logical state — tick
-//! clocks, seeded draws, rank orders — never of scheduling, so traces,
-//! expositions, and attributions are byte-identical across `--threads`
-//! budgets *and* the instrumented run's deterministic outputs are
-//! byte-identical to the uninstrumented run. Only [`SpanRecorder`]
-//! touches wall-clock time, and it is quarantined from the rest.
+//! Telemetry is opt-in and derived after the run: no engine records
+//! from inside its loop. The runtime's supervisor log ([`report`]), the
+//! DCSP and cluster reports, and the serving layer's decision record are
+//! folded into a [`Telemetry`] once the run is finished, so an untraced
+//! run does no telemetry work at all. Everything folded into
+//! [`Tracer`], [`MetricsRegistry`], [`TrajectoryObserver`],
+//! [`CausalTracer`], and [`FlightRecorder`] is a pure function of
+//! logical state — tick clocks, seeded draws, rank orders — never of
+//! scheduling or wall-clock time, so traces, expositions, and
+//! attributions are byte-identical across `--threads` budgets *and* the
+//! traced run's deterministic outputs are byte-identical to the untraced
+//! run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +64,6 @@ pub mod incident;
 pub mod metrics;
 pub mod report;
 pub mod schema;
-pub mod spans;
 pub mod trace;
 pub mod trajectory;
 
@@ -76,13 +75,12 @@ pub use incident::{
 pub use metrics::{Histogram, MetricValue, MetricsRegistry};
 pub use report::{record_run_events, record_run_metrics, trajectory_of_run};
 pub use schema::validate;
-pub use spans::{ScopedSpan, Span, SpanRecorder};
 pub use trace::{Event, PlanAction, TraceBuffer, TraceEvent, Tracer};
 pub use trajectory::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 
-/// The full telemetry bundle an instrumented engine records into: the
-/// deterministic trace, metrics, and trajectory, plus the wall-clock
-/// span side channel.
+/// The full telemetry bundle a traced run is folded into: the trace,
+/// metrics, trajectory, causal span trees, and flight recorder — all
+/// deterministic, all derived from the run's own record.
 #[derive(Debug)]
 pub struct Telemetry {
     /// Structured event trace (deterministic).
@@ -91,8 +89,6 @@ pub struct Telemetry {
     pub metrics: MetricsRegistry,
     /// Live Q(t) observer with deficit attribution (deterministic).
     pub trajectory: TrajectoryObserver,
-    /// Wall-clock spans (perf side channel only).
-    pub spans: SpanRecorder,
     /// Causal span trees + critical paths (deterministic).
     pub causal: CausalTracer,
     /// Incident flight recorder (deterministic).
@@ -106,7 +102,6 @@ impl Telemetry {
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             trajectory: TrajectoryObserver::new(dt),
-            spans: SpanRecorder::new(),
             causal: CausalTracer::new(),
             incidents: FlightRecorder::new(),
         }

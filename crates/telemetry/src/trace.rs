@@ -9,9 +9,7 @@
 //! key is a pure function of logical state (never of scheduling), the
 //! merged trace is bit-identical for any thread budget.
 //!
-//! Wall-clock time never appears here; durations live in the
-//! [`spans`](crate::spans) side channel, which is explicitly excluded
-//! from the determinism contract.
+//! Wall-clock time never appears here.
 
 use serde::{Deserialize, Serialize};
 

@@ -26,8 +26,8 @@
 //!   self-scored brownout controller over the experiment engines.
 //! * [`telemetry`] — the deterministic observability spine: structured
 //!   event tracing, a metrics registry with Prometheus/JSON exposition,
-//!   chrome://tracing spans, and live Q(t) scoring with per-cause
-//!   deficit attribution.
+//!   Q(t) scoring with per-cause deficit attribution, causal span trees,
+//!   and incident postmortems, all derived from a finished run's record.
 //! * [`anticipate`] — the anticipation layer: online early-warning
 //!   detection (critical slowing down) over the live deficit stream,
 //!   Normal/Alert/Emergency mode switching, and heavy-tail-aware loss
