@@ -4,13 +4,12 @@
 //! Near a fold bifurcation the return rate to equilibrium vanishes, so
 //! a system's output shows **rising variance** and **rising lag-1
 //! autocorrelation** before it tips (Scheffer 2009; the paper's
-//! §3.4.1). `resilience-stats::ews` measures those indicators in
-//! *batch* over a recorded series; this module is the *online*
-//! analogue, built to sit inside a serving tick loop:
+//! §3.4.1). This module measures them *online*, built to sit inside a
+//! serving tick loop or a simulation step:
 //!
 //! * each sample is detrended against an exponential moving average
-//!   (the cheap online stand-in for the batch pipeline's rolling-mean
-//!   detrend), and the residual enters a fixed-size ring buffer;
+//!   (α = 2/(N+1) is the standard EMA equivalent of an N-sample rolling
+//!   mean), and the residual enters a fixed-size ring buffer;
 //! * window variance is maintained with the sliding-window Welford
 //!   update (replace-one-element form), window lag-1 autocorrelation
 //!   with an incremental adjacent-pair cross-sum — O(1) per sample, no
@@ -21,10 +20,15 @@
 //!   flanks turns the score into a warning flag that a single spike
 //!   cannot flap.
 //!
+//! [`indicator_trends`] turns a run of snapshots into the batch verdict
+//! of the early-warning literature: the Kendall-τ trend of variance and
+//! of lag-1 autocorrelation over time.
+//!
 //! The detector is a pure fold over its input sequence — no clocks, no
 //! randomness — so any consumer driving it from a logical tick loop
 //! gets bit-identical warning scores on every thread budget.
 
+use resilience_stats::kendall_tau;
 use serde::{Deserialize, Serialize};
 
 /// Tuning of the online early-warning detector.
@@ -311,6 +315,49 @@ pub fn naive_window_indicators(residuals: &[f64]) -> (f64, f64) {
     (variance, autocorr)
 }
 
+/// Naive reference for the detrend chain: every sample's residual
+/// against the EMA baseline, the first seeding it with a zero residual.
+/// Public, like [`naive_window_indicators`], so tests can replay the
+/// window the detector holds.
+pub fn naive_residuals(samples: &[f64], alpha: f64) -> Vec<f64> {
+    let mut trend = samples.first().copied().unwrap_or(0.0);
+    samples
+        .iter()
+        .map(|&x| {
+            let r = x - trend;
+            trend += alpha * (x - trend);
+            r
+        })
+        .collect()
+}
+
+/// Feed `samples` through a fresh detector and return the
+/// [`indicator_trends`] of one snapshot every `stride` samples, the
+/// first taken when the window fills.
+pub fn series_trends(config: EarlyWarningConfig, samples: &[f64], stride: usize) -> (f64, f64) {
+    let window = config.window;
+    let mut detector = EarlyWarning::new(config);
+    let mut snapshots = Vec::new();
+    for (i, &x) in samples.iter().enumerate() {
+        let snap = detector.observe(x);
+        if detector.is_warm() && (i + 1 - window).is_multiple_of(stride) {
+            snapshots.push(snap);
+        }
+    }
+    indicator_trends(&snapshots)
+}
+
+/// Kendall τ of the snapshots' variance and of their lag-1
+/// autocorrelation against time, as `(τ_var, τ_ac)`. Strongly positive
+/// values of both are the critical-slowing-down signature. `NaN` for
+/// fewer than two snapshots.
+pub fn indicator_trends(snapshots: &[WarningSnapshot]) -> (f64, f64) {
+    let time: Vec<f64> = (0..snapshots.len()).map(|i| i as f64).collect();
+    let variance: Vec<f64> = snapshots.iter().map(|s| s.variance).collect();
+    let autocorr: Vec<f64> = snapshots.iter().map(|s| s.autocorr).collect();
+    (kendall_tau(&time, &variance), kendall_tau(&time, &autocorr))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,22 +382,11 @@ mod tests {
             .collect()
     }
 
-    /// Replay the detector's own detrend chain to recover the residual
-    /// window, then apply the naive indicator reference.
+    /// The naive indicators over the trailing window of the detrend
+    /// chain's replay.
     fn naive_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
-        let mut trend = 0.0;
-        let mut residuals = Vec::new();
-        for (i, &x) in samples.iter().enumerate() {
-            if i == 0 {
-                trend = x;
-                residuals.push(0.0);
-            } else {
-                residuals.push(x - trend);
-                trend += alpha * (x - trend);
-            }
-        }
-        let tail = &residuals[residuals.len().saturating_sub(window)..];
-        naive_window_indicators(tail)
+        let residuals = naive_residuals(samples, alpha);
+        naive_window_indicators(&residuals[residuals.len().saturating_sub(window)..])
     }
 
     #[test]
@@ -440,6 +476,20 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn indicator_trends_read_rising_and_falling_indicators() {
+        let snap = |variance: f64, autocorr: f64| WarningSnapshot {
+            score: 0.0,
+            variance,
+            autocorr,
+            active: false,
+        };
+        let rising: Vec<_> = (0..10).map(|i| snap(i as f64, -(i as f64))).collect();
+        let (var, ac) = indicator_trends(&rising);
+        assert!((var - 1.0).abs() < 1e-12 && (ac + 1.0).abs() < 1e-12);
+        assert!(indicator_trends(&rising[..1]).0.is_nan());
     }
 
     #[test]

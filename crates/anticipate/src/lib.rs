@@ -18,9 +18,14 @@
 //!   lag-1 autocorrelation, and a hysteretic latch (confirmation runs
 //!   on both flanks) turns the composite score into a warning flag a
 //!   single spike cannot flap.
-//! * [`modes`] — [`AnticipationController`]: explicit Normal / Alert /
-//!   Emergency operating modes (§3.4.6) driven by the warning score,
-//!   each carrying a policy set — brownout pre-dim floor, breaker
+//!   [`indicator_trends`] reads a run of its snapshots as Kendall-τ
+//!   trends of variance and autocorrelation ([`series_trends`] for a
+//!   whole recorded series), the verdict E12 and E19 report.
+//! * [`modes`] — [`ModeSwitch`]: explicit Normal / Alert / Emergency
+//!   operating modes (§3.4.6) with hysteresis bands, dwell and a
+//!   bounded transition log, driven by any score stream.
+//!   [`AnticipationController`] is the detector feeding the switch;
+//!   each mode carries a policy set — brownout pre-dim floor, breaker
 //!   cooldown widening, admission deadline tightening, and the
 //!   provisioning rule.
 //! * [`provision`] — [`LossWindow`]: the Taleb caveat made executable.
@@ -32,9 +37,12 @@
 //!
 //! Everything here is a pure function of the samples fed in: no clocks,
 //! no randomness, no thread-dependence. Consumers (the serving layer's
-//! anticipatory path, the cluster engine's per-node mode switching)
-//! drive it from their logical tick loops, so warning scores and mode
-//! transition logs replay bit-identically for any thread budget.
+//! anticipatory path and the early-warning and mode-switching
+//! experiments E12, E13 and E19) drive it from their logical tick
+//! loops, so warning scores and mode transition logs replay
+//! bit-identically for any thread budget. The cluster engine shares
+//! only [`OperatingMode`]: its per-node ladder is inline, with a dwell
+//! that gates de-escalation only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,9 +52,12 @@ pub mod detector;
 pub mod modes;
 pub mod provision;
 
-pub use detector::{naive_window_indicators, EarlyWarning, EarlyWarningConfig, WarningSnapshot};
+pub use detector::{
+    indicator_trends, naive_residuals, naive_window_indicators, series_trends, EarlyWarning,
+    EarlyWarningConfig, WarningSnapshot,
+};
 pub use modes::{
-    AnticipationConfig, AnticipationController, ModePolicy, ModeSwitchConfig, ModeTransition,
-    OperatingMode,
+    AnticipationConfig, AnticipationController, ModePolicy, ModeSwitch, ModeSwitchConfig,
+    ModeTransition, OperatingMode,
 };
 pub use provision::{LossWindow, ProvisioningPolicy};

@@ -3,11 +3,12 @@
 //!
 //! The paper's example is an organization that runs one policy set in
 //! normal operation and an explicitly different one in emergencies.
-//! [`AnticipationController`] makes that executable for the serving
-//! layer: the online [`EarlyWarning`] detector scores the live deficit
-//! stream, and the score drives a three-state machine with hysteresis
-//! bands and a dwell time — the same anti-flap discipline as the
-//! brownout dimmer. Each mode carries a [`ModePolicy`]: how far to
+//! [`ModeSwitch`] is the three-state machine: hysteresis bands and a
+//! dwell time — the same anti-flap discipline as the brownout dimmer —
+//! over any score stream. [`AnticipationController`] makes it
+//! executable for the serving layer: the online [`EarlyWarning`]
+//! detector scores the live deficit stream, and the score drives the
+//! switch. Each mode carries a [`ModePolicy`]: how far to
 //! pre-dim the brownout floor, how much to widen breaker cooldowns, how
 //! much to tighten admission deadlines, and which provisioning rule
 //! (sample mean vs heavy-tail quantile) to trust.
@@ -91,7 +92,7 @@ pub struct ModeSwitchConfig {
     pub dwell: u64,
     /// Retained transition-log length: the first `transition_cap`
     /// transitions are kept, later ones are only counted (see
-    /// [`AnticipationController::truncated_transitions`]). Bounds
+    /// [`ModeSwitch::truncated_transitions`]). Bounds
     /// memory on arbitrarily long traces while keeping the log a pure
     /// function of the transition sequence.
     pub transition_cap: usize,
@@ -106,6 +107,31 @@ impl Default for ModeSwitchConfig {
             emergency_off: 0.50,
             dwell: 8,
             transition_cap: 4096,
+        }
+    }
+}
+
+impl ModeSwitchConfig {
+    /// A switch that only moves between Normal and Alert: Alert at or
+    /// above `on`, back to Normal at or below `off`, no dwell, and
+    /// Emergency never entered — for callers whose emergency posture is
+    /// "any mode but Normal".
+    ///
+    /// # Panics
+    ///
+    /// Panics if either band is non-finite or `off > on` (a release band
+    /// above the entry band flaps on every tick).
+    pub fn two_state(on: f64, off: f64) -> Self {
+        assert!(
+            on.is_finite() && off.is_finite() && off <= on,
+            "two_state bands must be finite with off <= on"
+        );
+        ModeSwitchConfig {
+            alert_on: on,
+            alert_off: off,
+            emergency_on: f64::INFINITY,
+            dwell: 0,
+            ..ModeSwitchConfig::default()
         }
     }
 }
@@ -201,13 +227,15 @@ impl AnticipationConfig {
     }
 }
 
-/// The anticipation state machine: detector + mode switch + bounded
-/// transition log. Pure function of the sample sequence fed to
-/// [`observe`](Self::observe).
+/// The Normal / Alert / Emergency state machine on its own: hysteresis
+/// bands, dwell, bounded transition log and per-mode tick counters.
+/// Driven by any score stream — the warning score inside
+/// [`AnticipationController`], or a raw damage or trend signal in the
+/// experiments. A pure function of the `(tick, score, latched)`
+/// sequence fed to [`observe`](Self::observe).
 #[derive(Debug, Clone)]
-pub struct AnticipationController {
-    config: AnticipationConfig,
-    detector: EarlyWarning,
+pub struct ModeSwitch {
+    config: ModeSwitchConfig,
     mode: OperatingMode,
     last_change: u64,
     changed: bool,
@@ -217,13 +245,11 @@ pub struct AnticipationController {
     emergency_ticks: u64,
 }
 
-impl AnticipationController {
-    /// A controller starting in Normal with a cold detector.
-    pub fn new(config: AnticipationConfig) -> Self {
-        let detector = EarlyWarning::new(config.detector.clone());
-        AnticipationController {
+impl ModeSwitch {
+    /// A switch starting in Normal.
+    pub fn new(config: ModeSwitchConfig) -> Self {
+        ModeSwitch {
             config,
-            detector,
             mode: OperatingMode::Normal,
             last_change: 0,
             changed: false,
@@ -234,41 +260,15 @@ impl AnticipationController {
         }
     }
 
-    /// The controller's tuning.
-    pub fn config(&self) -> &AnticipationConfig {
-        &self.config
-    }
-
     /// Current operating mode.
     pub fn mode(&self) -> OperatingMode {
         self.mode
-    }
-
-    /// The policy set of the current mode.
-    pub fn policy(&self) -> &ModePolicy {
-        self.config.policy(self.mode)
-    }
-
-    /// The detector's current readout.
-    pub fn snapshot(&self) -> WarningSnapshot {
-        self.detector.snapshot()
-    }
-
-    /// Current warning score in milli-units.
-    pub fn score_milli(&self) -> u64 {
-        score_milli(self.detector.score())
     }
 
     /// Retained mode transitions, in tick order (at most
     /// [`ModeSwitchConfig::transition_cap`]).
     pub fn transitions(&self) -> &[ModeTransition] {
         &self.transitions
-    }
-
-    /// Retained transitions into Emergency, in tick order — each is an
-    /// incident-flight-recorder trigger point.
-    pub fn escalations(&self) -> impl Iterator<Item = &ModeTransition> {
-        self.transitions.iter().filter(|t| t.is_escalation())
     }
 
     /// Transitions beyond the cap that were counted but not retained.
@@ -286,34 +286,33 @@ impl AnticipationController {
         self.emergency_ticks
     }
 
-    /// Feed one tick's signal sample; returns the mode in force after
-    /// the update. Mode moves one step per tick at most, honors the
-    /// dwell, and requires a warm detector to escalate — a cold start
-    /// can never jump straight to Emergency.
-    pub fn observe(&mut self, tick: u64, sample: f64) -> OperatingMode {
-        let snap = self.detector.observe(sample);
-        let sw = &self.config.switch;
+    /// Feed one tick's score and warning-latch state; returns the mode
+    /// in force after the update. Mode moves one step per tick at most
+    /// and honors the dwell. A latched warning holds Alert even when the
+    /// score alone would release it.
+    pub fn observe(&mut self, tick: u64, score: f64, latched: bool) -> OperatingMode {
+        let sw = &self.config;
         let dwelled = !self.changed || tick.saturating_sub(self.last_change) >= sw.dwell;
         let target = if dwelled {
             match self.mode {
                 OperatingMode::Normal => {
-                    if snap.score >= sw.alert_on || snap.active {
+                    if score >= sw.alert_on || latched {
                         Some(OperatingMode::Alert)
                     } else {
                         None
                     }
                 }
                 OperatingMode::Alert => {
-                    if snap.score >= sw.emergency_on {
+                    if score >= sw.emergency_on {
                         Some(OperatingMode::Emergency)
-                    } else if snap.score <= sw.alert_off && !snap.active {
+                    } else if score <= sw.alert_off && !latched {
                         Some(OperatingMode::Normal)
                     } else {
                         None
                     }
                 }
                 OperatingMode::Emergency => {
-                    if snap.score <= sw.emergency_off {
+                    if score <= sw.emergency_off {
                         Some(OperatingMode::Alert)
                     } else {
                         None
@@ -333,7 +332,7 @@ impl AnticipationController {
                     tick,
                     from,
                     to,
-                    score_milli: score_milli(snap.score),
+                    score_milli: score_milli(score),
                 });
             } else {
                 self.truncated += 1;
@@ -345,6 +344,90 @@ impl AnticipationController {
             OperatingMode::Emergency => self.emergency_ticks += 1,
         }
         self.mode
+    }
+}
+
+/// The anticipation loop: the [`EarlyWarning`] detector feeding a
+/// [`ModeSwitch`]. Pure function of the sample sequence fed to
+/// [`observe`](Self::observe).
+#[derive(Debug, Clone)]
+pub struct AnticipationController {
+    config: AnticipationConfig,
+    detector: EarlyWarning,
+    switch: ModeSwitch,
+}
+
+impl AnticipationController {
+    /// A controller starting in Normal with a cold detector.
+    pub fn new(config: AnticipationConfig) -> Self {
+        let detector = EarlyWarning::new(config.detector.clone());
+        let switch = ModeSwitch::new(config.switch.clone());
+        AnticipationController {
+            config,
+            detector,
+            switch,
+        }
+    }
+
+    /// The controller's tuning.
+    pub fn config(&self) -> &AnticipationConfig {
+        &self.config
+    }
+
+    /// Current operating mode.
+    pub fn mode(&self) -> OperatingMode {
+        self.switch.mode()
+    }
+
+    /// The policy set of the current mode.
+    pub fn policy(&self) -> &ModePolicy {
+        self.config.policy(self.switch.mode())
+    }
+
+    /// The detector's current readout.
+    pub fn snapshot(&self) -> WarningSnapshot {
+        self.detector.snapshot()
+    }
+
+    /// Current warning score in milli-units.
+    pub fn score_milli(&self) -> u64 {
+        score_milli(self.detector.score())
+    }
+
+    /// Retained mode transitions, in tick order (at most
+    /// [`ModeSwitchConfig::transition_cap`]).
+    pub fn transitions(&self) -> &[ModeTransition] {
+        self.switch.transitions()
+    }
+
+    /// Retained transitions into Emergency, in tick order — each is an
+    /// incident-flight-recorder trigger point.
+    pub fn escalations(&self) -> impl Iterator<Item = &ModeTransition> {
+        self.transitions().iter().filter(|t| t.is_escalation())
+    }
+
+    /// Transitions beyond the cap that were counted but not retained.
+    pub fn truncated_transitions(&self) -> u64 {
+        self.switch.truncated_transitions()
+    }
+
+    /// Ticks spent in Alert so far.
+    pub fn alert_ticks(&self) -> u64 {
+        self.switch.alert_ticks()
+    }
+
+    /// Ticks spent in Emergency so far.
+    pub fn emergency_ticks(&self) -> u64 {
+        self.switch.emergency_ticks()
+    }
+
+    /// Feed one tick's signal sample; returns the mode in force after
+    /// the update. Mode moves one step per tick at most, honors the
+    /// dwell, and requires a warm detector to escalate — a cold start
+    /// can never jump straight to Emergency.
+    pub fn observe(&mut self, tick: u64, sample: f64) -> OperatingMode {
+        let snap = self.detector.observe(sample);
+        self.switch.observe(tick, snap.score, snap.active)
     }
 }
 
@@ -373,6 +456,82 @@ mod tests {
             c.observe(start + t, 0.5 + 0.5 * phase);
         }
         start + ticks
+    }
+
+    #[test]
+    fn mode_switch_holds_through_the_hysteresis_band() {
+        let mut s = ModeSwitch::new(ModeSwitchConfig::two_state(10.0, 3.0));
+        assert_eq!(s.mode(), OperatingMode::Normal);
+        assert_eq!(s.observe(0, 5.0, false), OperatingMode::Normal);
+        assert_eq!(s.observe(1, 11.0, false), OperatingMode::Alert);
+        // Score between the release and entry bands: stay in Alert.
+        assert_eq!(s.observe(2, 5.0, false), OperatingMode::Alert);
+        assert_eq!(s.observe(3, 2.0, false), OperatingMode::Normal);
+        // A latched warning enters Alert and holds it below the release band.
+        assert_eq!(s.observe(4, 0.0, true), OperatingMode::Alert);
+        assert_eq!(s.observe(5, 0.0, true), OperatingMode::Alert);
+        assert_eq!(s.observe(6, 0.0, false), OperatingMode::Normal);
+    }
+
+    #[test]
+    #[should_panic(expected = "off <= on")]
+    fn two_state_rejects_a_release_band_above_the_entry_band() {
+        let _ = ModeSwitchConfig::two_state(3.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn two_state_rejects_a_non_finite_band() {
+        let _ = ModeSwitchConfig::two_state(f64::NAN, 1.0);
+    }
+
+    #[test]
+    fn mode_switch_records_transitions() {
+        let mut s = ModeSwitch::new(ModeSwitchConfig::two_state(10.0, 3.0));
+        for (tick, score) in [(1, 1.0), (2, 20.0), (3, 8.0), (4, 1.0)] {
+            s.observe(tick, score, false);
+        }
+        let log: Vec<_> = s.transitions().iter().map(|t| (t.tick, t.to)).collect();
+        assert_eq!(
+            log,
+            [(2, OperatingMode::Alert), (4, OperatingMode::Normal)],
+            "hysteresis holds at tick 3"
+        );
+        assert_eq!(s.alert_ticks(), 2);
+        assert_eq!(s.emergency_ticks(), 0);
+    }
+
+    #[test]
+    fn mode_switch_hysteresis_prevents_flapping() {
+        // Scores oscillating in the dead band (3..10) cause no switches
+        // after the initial excursion.
+        let mut s = ModeSwitch::new(ModeSwitchConfig::two_state(10.0, 3.0));
+        s.observe(0, 20.0, false);
+        for t in 1..=100 {
+            s.observe(2 * t - 1, 5.0, false);
+            s.observe(2 * t, 9.0, false);
+        }
+        assert_eq!(s.transitions().len(), 1);
+        assert_eq!(s.mode(), OperatingMode::Alert);
+    }
+
+    #[test]
+    fn perception_bias_over_and_under_reacts() {
+        // §3.4.4: the switch sees `bias × damage`. Overestimation (bias 3)
+        // enters the emergency posture on moderate damage a calibrated
+        // lens ignores; complacency (bias 0.1) ignores a real threat a
+        // calibrated lens acts on.
+        let mode_after = |bias: f64, damage: f64| {
+            let mut s = ModeSwitch::new(ModeSwitchConfig::two_state(10.0, 3.0));
+            for t in 0..20 {
+                s.observe(t, bias * damage, false);
+            }
+            s.mode()
+        };
+        assert_eq!(mode_after(1.0, 5.0), OperatingMode::Normal);
+        assert_eq!(mode_after(3.0, 5.0), OperatingMode::Alert);
+        assert_eq!(mode_after(1.0, 50.0), OperatingMode::Alert);
+        assert_eq!(mode_after(0.1, 50.0), OperatingMode::Normal);
     }
 
     #[test]

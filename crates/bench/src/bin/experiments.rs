@@ -154,7 +154,11 @@ fn main() {
                 let list = it
                     .next()
                     .unwrap_or_else(|| die("--only needs a comma-separated id list"));
-                wanted.extend(parse_id_list(&list));
+                let ids = parse_id_list(&list);
+                if ids.is_empty() {
+                    die("--only must name at least one experiment");
+                }
+                wanted.extend(ids);
             }
             "--help" | "-h" => {
                 eprintln!(

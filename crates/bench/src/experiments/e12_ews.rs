@@ -1,11 +1,28 @@
 //! E12 — early-warning signals before a tipping point (paper §3.4.1).
 
+use resilience_anticipate::{series_trends, EarlyWarningConfig};
 use resilience_core::seeded_rng;
 use resilience_stats::bistable::{BistableProcess, CRITICAL_FORCING};
-use resilience_stats::ews::{early_warning_signals, EwsConfig};
 
 use crate::table::ExperimentTable;
 use resilience_core::RunContext;
+
+/// Kendall-τ trends `(τ_var, τ_ac)` of the online detector's indicators
+/// over `samples`: a 1000-sample window detrended by the EMA equivalent
+/// of a 200-sample rolling mean, read every 50 samples once warm.
+fn trends(samples: &[f64]) -> (f64, f64) {
+    let config = EarlyWarningConfig {
+        window: 1_000,
+        detrend_alpha: 2.0 / (200.0 + 1.0),
+        ..EarlyWarningConfig::default()
+    };
+    series_trends(config, samples, 50)
+}
+
+/// Both indicators trending up beyond τ = 0.3.
+fn warns((variance_trend, autocorrelation_trend): (f64, f64)) -> bool {
+    variance_trend > 0.3 && autocorrelation_trend > 0.3
+}
 
 /// Run E12.
 pub fn run(ctx: &RunContext) -> ExperimentTable {
@@ -16,7 +33,6 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
         ..BistableProcess::default()
     };
     let steps = 60_000;
-    let config = EwsConfig::default();
     let mut rows = Vec::new();
     let mut tip_trends = (0.0, 0.0);
     let mut ctl_trends = (0.0, 0.0);
@@ -30,11 +46,11 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
             process.simulate_ramp(steps, -0.25, ramp_to, &mut rng)
         };
         let analyze_to = run.tipping_index.unwrap_or(run.series.len());
-        let report = early_warning_signals(&run.series, analyze_to, &config).expect("long enough");
+        let report = trends(&run.series.values()[..analyze_to]);
         if ramp_to > 0.0 {
-            tip_trends = (report.variance_trend, report.autocorrelation_trend);
+            tip_trends = report;
         } else {
-            ctl_trends = (report.variance_trend, report.autocorrelation_trend);
+            ctl_trends = report;
         }
         rows.push(vec![
             label.into(),
@@ -42,9 +58,9 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
                 Some(t) => format!("tipped at step {t}"),
                 None => "no tip".into(),
             },
-            format!("{:.2}", report.variance_trend),
-            format!("{:.2}", report.autocorrelation_trend),
-            format!("{}", report.warns(0.3)),
+            format!("{:.2}", report.0),
+            format!("{:.2}", report.1),
+            format!("{}", warns(report)),
         ]);
     }
     ExperimentTable {
@@ -75,11 +91,37 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
 
 #[cfg(test)]
 mod tests {
-    use resilience_core::RunContext;
+    use super::{trends, warns};
+    use resilience_core::{seeded_rng, RunContext};
+    use resilience_stats::bistable::{BistableProcess, CRITICAL_FORCING};
+
     #[test]
     fn warning_fires_only_before_tip() {
-        let t = super::run(&RunContext::new(0));
-        assert_eq!(t.rows[0][4], "true");
-        assert_eq!(t.rows[1][4], "false");
+        for seed in 0..=8 {
+            let t = super::run(&RunContext::new(seed));
+            assert_eq!(t.rows[0][4], "true", "seed {seed}: {:?}", t.rows[0]);
+            assert_eq!(t.rows[1][4], "false", "seed {seed}: {:?}", t.rows[1]);
+        }
+    }
+
+    /// A slower ramp, just past the fold, still warns before it tips;
+    /// the stationary control stays quiet.
+    #[test]
+    fn tipping_run_warns_control_does_not() {
+        let mut rng = seeded_rng(42);
+        let p = BistableProcess {
+            sigma: 0.04,
+            ..BistableProcess::default()
+        };
+        let tipping = p.simulate_ramp(60_000, -0.25, CRITICAL_FORCING * 1.05, &mut rng);
+        let control = p.simulate_stationary(60_000, -0.25, &mut rng);
+        let analyze_to = tipping.tipping_index.unwrap_or(tipping.series.len());
+        let warn = trends(&tipping.series.values()[..analyze_to]);
+        let quiet = trends(control.series.values());
+        assert!(warn.0 > 0.35, "variance trend {}", warn.0);
+        assert!(warn.1 > 0.3, "ac trend {}", warn.1);
+        assert!(warn.0 > quiet.0 + 0.3);
+        assert!(warns(warn));
+        assert!(!warns(quiet));
     }
 }

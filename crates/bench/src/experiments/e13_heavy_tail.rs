@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use resilience_core::modes::{Mode, ModeController, NeverSwitch, SwitchPolicy, ThresholdPolicy};
+use resilience_anticipate::{ModeSwitch, ModeSwitchConfig, OperatingMode};
 use resilience_core::seeded_rng;
 use resilience_stats::distributions::{Gaussian, Pareto, Sampler};
 use resilience_stats::heavy_tail::{InsuranceExperiment, MeanStability};
@@ -70,9 +70,9 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
 
     // (c) Mode switching under X-events with aftershock clustering
     // (parallel: one derived stream per wealth trajectory).
-    let (never_ruin, never_wealth) = mode_switch_sim(&NeverSwitch, 400, ctx.derive(1302), ctx);
-    let policy = ThresholdPolicy::new(8.0, 1.0);
-    let (switch_ruin, switch_wealth) = mode_switch_sim(&policy, 400, ctx.derive(1303), ctx);
+    let (never_ruin, never_wealth) = mode_switch_sim(None, 400, ctx.derive(1302), ctx);
+    let switch = ModeSwitchConfig::two_state(8.0, 1.0);
+    let (switch_ruin, switch_wealth) = mode_switch_sim(Some(&switch), 400, ctx.derive(1303), ctx);
     rows.push(vec![
         "never switch modes".into(),
         format!("ruin prob {never_ruin:.3}"),
@@ -114,11 +114,12 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
 }
 
 /// A wealth process facing clustered X-events. In Normal mode the system
-/// earns 2.0/step with full loss exposure; in Emergency mode it earns
-/// 0.5/step with 25% exposure (hunkered down). X-events start aftershock
-/// windows during which large losses cluster.
-fn mode_switch_sim<P: SwitchPolicy + Sync>(
-    policy: &P,
+/// earns 2.0/step with full loss exposure; in any other mode it runs the
+/// emergency policy, earning 0.5/step with 25% exposure (hunkered down).
+/// The switch, if any, observes each step's raw loss. X-events start
+/// aftershock windows during which large losses cluster.
+fn mode_switch_sim(
+    switch: Option<&ModeSwitchConfig>,
     trials: usize,
     master_seed: u64,
     ctx: &RunContext,
@@ -129,9 +130,9 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
         master_seed,
         |_, rng| {
             let mut wealth = 50.0;
-            let mut controller = ModeController::new(PolicyRef(policy));
+            let mut switch = switch.map(|config| ModeSwitch::new(config.clone()));
             let mut aftershocks = 0usize;
-            for _ in 0..600 {
+            for step in 0..600 {
                 // New X-event?
                 if rng.gen_bool(0.01) {
                     aftershocks = 25;
@@ -142,10 +143,12 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
                 } else {
                     0.2 * pareto.sample(rng).min(5.0)
                 };
-                let mode = controller.observe(raw_loss);
+                let mode = switch
+                    .as_mut()
+                    .map_or(OperatingMode::Normal, |s| s.observe(step, raw_loss, false));
                 let (income, exposure) = match mode {
-                    Mode::Normal => (2.0, 1.0),
-                    Mode::Emergency => (0.5, 0.25),
+                    OperatingMode::Normal => (2.0, 1.0),
+                    _ => (0.5, 0.25),
                 };
                 wealth += income - exposure * raw_loss;
                 if wealth < 0.0 {
@@ -166,30 +169,23 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
     )
 }
 
-/// Adapter: lets a borrowed policy drive a [`ModeController`].
-struct PolicyRef<'a, P: SwitchPolicy>(&'a P);
-
-impl<P: SwitchPolicy> SwitchPolicy for PolicyRef<'_, P> {
-    fn next_mode(&self, current: Mode, damage: f64) -> Mode {
-        self.0.next_mode(current, damage)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use resilience_core::RunContext;
     #[test]
     fn switching_beats_never() {
-        let t = super::run(&RunContext::new(0));
-        let never: f64 = t.rows[6][1]
-            .trim_start_matches("ruin prob ")
-            .parse()
-            .unwrap();
-        let switch: f64 = t.rows[7][1]
-            .trim_start_matches("ruin prob ")
-            .parse()
-            .unwrap();
-        assert!(switch < never, "switch {switch} vs never {never}");
+        for seed in 0..=8 {
+            let t = super::run(&RunContext::new(seed));
+            let never: f64 = t.rows[6][1]
+                .trim_start_matches("ruin prob ")
+                .parse()
+                .unwrap();
+            let switch: f64 = t.rows[7][1]
+                .trim_start_matches("ruin prob ")
+                .parse()
+                .unwrap();
+            assert!(switch < never, "seed {seed}: {switch} vs {never}");
+        }
     }
 
     #[test]

@@ -227,6 +227,23 @@ fn empty_only_env_var_exits_2() {
     assert!(stderr.contains("RESILIENCE_ONLY"), "stderr: {stderr}");
 }
 
+#[test]
+fn empty_only_flag_exits_2() {
+    // An empty list must neither run the whole registry nor fall back to
+    // the environment's selection.
+    for list in ["", ","] {
+        let out = experiments()
+            .args(["--only", list])
+            .env("RESILIENCE_ONLY", "e1")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--only {list:?}");
+        assert!(out.stdout.is_empty(), "--only {list:?} ran experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--only"), "stderr: {stderr}");
+    }
+}
+
 fn report_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("resilience-report-json-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -167,7 +167,7 @@ impl Catalogue {
                 domain: Social,
                 case: "Early-warning signals near tipping points (Scheffer)",
                 section: "3.4.1",
-                implemented_by: "resilience-stats::ews",
+                implemented_by: "resilience-anticipate::detector",
             },
             BokEntry {
                 strategy: Active(Modeling),
@@ -195,7 +195,7 @@ impl Catalogue {
                 domain: Social,
                 case: "Normal vs emergency policies for power-law X-events",
                 section: "3.4.6",
-                implemented_by: "resilience-core::modes",
+                implemented_by: "resilience-anticipate::modes",
             },
         ];
         Catalogue { entries }

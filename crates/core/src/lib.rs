@@ -14,7 +14,6 @@
 //! * [`QualityTrajectory`] and [`bruneau`] — Bruneau's quantitative
 //!   resilience metric `R = ∫ [100 − Q(t)] dt` (the "resilience triangle" of
 //!   the paper's Fig. 3).
-//! * [`modes`] — normal/emergency *mode switching* (§3.4.6).
 //! * [`strategy`] — the taxonomy of resilience strategies (redundancy,
 //!   diversity, adaptability, active resilience) and budget allocations over
 //!   them (§3, §4.4).
@@ -57,7 +56,6 @@ pub mod config;
 pub mod constraint;
 pub mod error;
 pub mod faults;
-pub mod modes;
 pub mod quality;
 pub mod rng;
 pub mod runtime;
@@ -77,7 +75,6 @@ pub use faults::{
     AttemptRecord, AttemptSegment, FailureCause, FaultConfig, FaultKind, FaultPlan, LostTrial,
     RecoveryPolicy, RunReport, Supervision, TrialCheckpoint,
 };
-pub use modes::{BiasedPerception, Mode, ModeController, SwitchPolicy, ThresholdPolicy};
 pub use quality::QualityTrajectory;
 pub use rng::{derive_seed, seeded_rng};
 pub use runtime::{ParallelTrials, RunContext};

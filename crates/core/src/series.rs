@@ -96,26 +96,6 @@ impl TimeSeries {
         numer / denom
     }
 
-    /// Sample skewness (`NaN` for < 3 samples or zero variance).
-    pub fn skewness(&self) -> f64 {
-        let n = self.values.len();
-        if n < 3 {
-            return f64::NAN;
-        }
-        let m = self.mean();
-        let sd = self.std_dev();
-        if sd == 0.0 {
-            return f64::NAN;
-        }
-        let m3 = self
-            .values
-            .iter()
-            .map(|v| ((v - m) / sd).powi(3))
-            .sum::<f64>()
-            / n as f64;
-        m3
-    }
-
     /// Non-overlapping trailing window of the last `w` samples, if
     /// available.
     pub fn tail_window(&self, w: usize) -> Option<&[f64]> {
@@ -214,18 +194,6 @@ mod tests {
         assert!(TimeSeries::from_values(vec![3.0; 10])
             .lag1_autocorrelation()
             .is_nan());
-    }
-
-    #[test]
-    fn skewness_sign() {
-        // Right-skewed: many small, few large.
-        let mut v = vec![1.0; 50];
-        v.extend(vec![10.0; 5]);
-        let s = TimeSeries::from_values(v);
-        assert!(s.skewness() > 0.5);
-        // Symmetric.
-        let sym: TimeSeries = (-50..=50).map(|i| i as f64).collect();
-        assert!(sym.skewness().abs() < 1e-9);
     }
 
     #[test]

@@ -106,6 +106,31 @@ pub fn log_histogram(data: &[f64], bins: usize) -> (Vec<f64>, Vec<usize>) {
     (centers, counts)
 }
 
+/// Kendall rank-correlation coefficient τ between `xs` and `ys`
+/// (τ_a variant: ties contribute zero). `NaN` if fewer than 2 points.
+pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
+    let n = xs.len().min(ys.len());
+    if n < 2 {
+        return f64::NAN;
+    }
+    let mut concordant = 0i64;
+    let mut discordant = 0i64;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let prod = (xs[j] - xs[i]) * (ys[j] - ys[i]);
+            // Note: an explicit comparison, not `signum()` — the latter
+            // maps +0.0 to 1.0, which would count ties as concordant.
+            if prod > 0.0 {
+                concordant += 1;
+            } else if prod < 0.0 {
+                discordant += 1;
+            }
+        }
+    }
+    let pairs = (n * (n - 1) / 2) as f64;
+    (concordant - discordant) as f64 / pairs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +185,33 @@ mod tests {
     fn log_histogram_empty_positive() {
         let (c, k) = log_histogram(&[-1.0, 0.0], 4);
         assert!(c.is_empty() && k.is_empty());
+    }
+
+    #[test]
+    fn kendall_tau_extremes() {
+        let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let up = xs.clone();
+        let down: Vec<f64> = xs.iter().map(|x| -x).collect();
+        assert!((kendall_tau(&xs, &up) - 1.0).abs() < 1e-12);
+        assert!((kendall_tau(&xs, &down) + 1.0).abs() < 1e-12);
+        assert!(kendall_tau(&[1.0], &[1.0]).is_nan());
+    }
+
+    #[test]
+    fn kendall_tau_of_noise_is_small() {
+        use rand::Rng;
+        let mut rng = resilience_core::seeded_rng(41);
+        let xs: Vec<f64> = (0..200).map(|i| i as f64).collect();
+        let ys: Vec<f64> = (0..200).map(|_| rng.gen::<f64>()).collect();
+        assert!(kendall_tau(&xs, &ys).abs() < 0.15);
+    }
+
+    #[test]
+    fn kendall_tau_ties_contribute_zero() {
+        let xs = [1.0, 2.0, 3.0];
+        let ys = [5.0, 5.0, 6.0];
+        // Pairs: (1,2): tie in y → 0; (1,3): concordant; (2,3): concordant.
+        assert!((kendall_tau(&xs, &ys) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -1,4 +1,4 @@
-//! Heavy-tail statistics and early-warning signals for the Systems
+//! Heavy-tail statistics and early-warning trend tests for the Systems
 //! Resilience project.
 //!
 //! Implements the quantitative machinery behind two of the paper's active-
@@ -13,8 +13,9 @@
 //! * **§3.4.1 (anticipation):** "for any dynamical systems there could be
 //!   early-warning signals that indicate the system is near a tipping
 //!   point" (Scheffer et al. 2009). The [`bistable`] module generates the
-//!   canonical fold-bifurcation time series; [`ews`] computes rolling
-//!   variance / lag-1 autocorrelation indicators and Kendall-τ trends.
+//!   canonical fold-bifurcation time series, and [`kendall_tau`] tests an
+//!   indicator series for a monotone trend; the indicators themselves are
+//!   computed online by `resilience-anticipate`'s detector.
 //!
 //! # Example
 //!
@@ -35,13 +36,11 @@
 pub mod bistable;
 pub mod descriptive;
 pub mod distributions;
-pub mod ews;
 pub mod heavy_tail;
 pub mod tail;
 
 pub use bistable::{BistableProcess, TippingRun};
-pub use descriptive::{histogram, log_histogram, quantile, Summary};
+pub use descriptive::{histogram, kendall_tau, log_histogram, quantile, Summary};
 pub use distributions::{Gaussian, Lognormal, Pareto, Sampler};
-pub use ews::{kendall_tau, EwsConfig, EwsReport};
 pub use heavy_tail::{running_means, InsuranceExperiment, MeanStability};
 pub use tail::{ccdf, fit_pareto_mle, hill_estimator};

@@ -6,11 +6,23 @@
 //! cargo run --release --example early_warning
 //! ```
 
+use systems_resilience::anticipate::{series_trends, EarlyWarningConfig};
 use systems_resilience::core::seeded_rng;
 use systems_resilience::stats::bistable::{BistableProcess, CRITICAL_FORCING};
 use systems_resilience::stats::distributions::{Gaussian, Pareto};
-use systems_resilience::stats::ews::{early_warning_signals, EwsConfig};
 use systems_resilience::stats::heavy_tail::InsuranceExperiment;
+
+/// Kendall-τ trends of the online detector's variance and lag-1
+/// autocorrelation over `samples` (1000-sample window, EMA detrend
+/// equivalent to a 200-sample rolling mean, read every 50 samples).
+fn trends(samples: &[f64]) -> (f64, f64) {
+    let config = EarlyWarningConfig {
+        window: 1_000,
+        detrend_alpha: 2.0 / 201.0,
+        ..EarlyWarningConfig::default()
+    };
+    series_trends(config, samples, 50)
+}
 
 fn main() {
     // Part 1: Scheffer's early-warning signals.
@@ -22,24 +34,17 @@ fn main() {
     println!("== approaching a fold bifurcation ==");
     let run = process.simulate_ramp(60_000, -0.25, CRITICAL_FORCING * 1.05, &mut rng);
     let tip = run.tipping_index.expect("ramp crosses the fold");
-    let report = early_warning_signals(&run.series, tip, &EwsConfig::default())
-        .expect("enough pre-tip data");
+    let (var, ac) = trends(&run.series.values()[..tip]);
     println!("system tipped at step {tip}");
-    println!(
-        "pre-tip indicator trends: variance τ = {:.2}, lag-1 autocorrelation τ = {:.2}",
-        report.variance_trend, report.autocorrelation_trend
-    );
-    println!("early warning raised: {}", report.warns(0.3));
+    println!("pre-tip indicator trends: variance τ = {var:.2}, lag-1 autocorrelation τ = {ac:.2}");
+    println!("early warning raised: {}", var > 0.3 && ac > 0.3);
 
     let control = process.simulate_stationary(60_000, -0.25, &mut rng);
-    let quiet =
-        early_warning_signals(&control.series, 60_000, &EwsConfig::default()).expect("enough data");
+    let (var, ac) = trends(control.series.values());
     println!(
-        "stationary control:      variance τ = {:.2}, lag-1 autocorrelation τ = {:.2} \
+        "stationary control:      variance τ = {var:.2}, lag-1 autocorrelation τ = {ac:.2} \
          (warning: {})",
-        quiet.variance_trend,
-        quiet.autocorrelation_trend,
-        quiet.warns(0.3)
+        var > 0.3 && ac > 0.3
     );
 
     // Part 2: why insurance fails for X-events.

@@ -9,7 +9,7 @@
 //! This facade crate re-exports the workspace crates:
 //!
 //! * [`core`] — configurations, constraints, shocks, quality trajectories,
-//!   the Bruneau resilience metric, and mode switching.
+//!   and the Bruneau resilience metric.
 //! * [`dcsp`] — the dynamic-constraint-satisfaction model: repair search,
 //!   *k*-recoverability, *K*-maintainability, belief-state reasoning.
 //! * [`ecology`] — replicator dynamics, diversity indices, concave fitness
@@ -18,7 +18,8 @@
 //!   adaptability budgets (the paper's §4.4 testbed).
 //! * [`networks`] — scale-free/random graphs under attack, cascades, the
 //!   BTW sandpile, and the forest-fire model.
-//! * [`stats`] — heavy-tail statistics and early-warning signals.
+//! * [`stats`] — heavy-tail statistics, the bistable process and the
+//!   Kendall-τ trend test.
 //! * [`engineering`] — RAID-style storage, N-version controllers, power
 //!   grids, supply chains, MAPE-K loops, portfolios.
 //! * [`service`] — the graceful-degradation serving layer: deadline-aware

@@ -9,7 +9,8 @@
 //!   with and without a chaos plan;
 //! * the detector's O(1) sliding-window indicators (Welford variance +
 //!   incremental lag-1 autocorrelation) agree with a naive O(n·w)
-//!   recomputation on arbitrary streams and window sizes;
+//!   recomputation on arbitrary streams and window sizes, and at the
+//!   experiments' 1000- and 2000-sample windows through a tipping point;
 //! * the canonical no-fault workload never drives the default mode
 //!   controller into Emergency, for any trace seed: the emergency
 //!   posture is reserved for genuine trouble, and a quiet service never
@@ -17,12 +18,15 @@
 
 use proptest::prelude::*;
 use systems_resilience::anticipate::{
-    naive_window_indicators, AnticipationConfig, EarlyWarning, EarlyWarningConfig, OperatingMode,
+    naive_residuals, naive_window_indicators, AnticipationConfig, EarlyWarning, EarlyWarningConfig,
+    OperatingMode,
 };
 use systems_resilience::core::faults::{FaultConfig, FaultPlan};
+use systems_resilience::core::seeded_rng;
 use systems_resilience::service::{
     RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
 };
+use systems_resilience::stats::bistable::{BistableProcess, CRITICAL_FORCING};
 
 /// Serve the canonical workload with the default anticipation layer.
 fn serve_anticipatory(trace_seed: u64, plan: &FaultPlan, threads: usize) -> ServiceReport {
@@ -38,19 +42,54 @@ fn serve_anticipatory(trace_seed: u64, plan: &FaultPlan, threads: usize) -> Serv
 /// Replay the detector's own detrend chain over the sample prefix, then
 /// apply the naive O(w) indicator reference to the trailing window.
 fn naive_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
-    let mut trend = 0.0;
-    let mut residuals = Vec::new();
-    for (i, &x) in samples.iter().enumerate() {
-        if i == 0 {
-            trend = x;
-            residuals.push(0.0);
-        } else {
-            residuals.push(x - trend);
-            trend += alpha * (x - trend);
+    let residuals = naive_residuals(samples, alpha);
+    naive_window_indicators(&residuals[residuals.len().saturating_sub(window)..])
+}
+
+/// At E12's and E19's long windows the incremental indicators still
+/// match the naive reference: E12's 60k-sample ramp at seed 42, fed
+/// through its tip (the jump to the upper branch is the hardest input
+/// for the sliding updates), checked every 50th sample to 1e-9.
+#[test]
+fn long_window_indicators_agree_with_naive_reference_through_a_tip() {
+    let process = BistableProcess {
+        sigma: 0.04,
+        ..BistableProcess::default()
+    };
+    let run = process.simulate_ramp(
+        60_000,
+        -0.25,
+        CRITICAL_FORCING * 1.25,
+        &mut seeded_rng(42 + 12),
+    );
+    let samples = run.series.values();
+    assert!(run.tipping_index.is_some(), "the ramp must cross the fold");
+    for (window, rolling_mean) in [(1_000usize, 200.0), (2_000, 100.0)] {
+        let alpha = 2.0 / (rolling_mean + 1.0);
+        let residuals = naive_residuals(samples, alpha);
+        let mut detector = EarlyWarning::new(EarlyWarningConfig {
+            window,
+            detrend_alpha: alpha,
+            ..EarlyWarningConfig::default()
+        });
+        for (i, &x) in samples.iter().enumerate() {
+            let snap = detector.observe(x);
+            if !(i + 1).is_multiple_of(50) {
+                continue;
+            }
+            let (var, ac) = naive_window_indicators(&residuals[(i + 1).saturating_sub(window)..=i]);
+            assert!(
+                (snap.variance - var).abs() <= 1e-9,
+                "window {window} sample {i}: variance {} vs naive {var}",
+                snap.variance
+            );
+            assert!(
+                (snap.autocorr - ac).abs() <= 1e-9,
+                "window {window} sample {i}: autocorr {} vs naive {ac}",
+                snap.autocorr
+            );
         }
     }
-    let tail = &residuals[residuals.len().saturating_sub(window)..];
-    naive_window_indicators(tail)
 }
 
 proptest! {

@@ -10,7 +10,7 @@ use systems_resilience::engineering::nversion::{DesignStrategy, NVersionControll
 use systems_resilience::engineering::storage::StorageArray;
 use systems_resilience::networks::graph::erdos_renyi;
 use systems_resilience::networks::percolation::removal_curve;
-use systems_resilience::stats::ews::kendall_tau;
+use systems_resilience::stats::kendall_tau;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

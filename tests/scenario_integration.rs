@@ -73,6 +73,7 @@ fn bok_catalogue_matches_workspace_structure() {
         "resilience-networks",
         "resilience-stats",
         "resilience-engineering",
+        "resilience-anticipate",
     ];
     for entry in Catalogue::paper().entries() {
         assert!(
