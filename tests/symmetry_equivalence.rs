@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 
 use systems_resilience::core::{
-    AllOnes, AtLeastOnes, Config, FaultConfig, RunContext, Supervision,
+    derive_seed, AllOnes, AtLeastOnes, Config, Constraint, ExplicitSet, FaultConfig,
+    PredicateConstraint, RunContext, Supervision,
 };
 use systems_resilience::dcsp::maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
@@ -169,5 +170,83 @@ fn chaos_supervision_leaves_verification_bit_identical() {
         let full =
             is_k_recoverable_exhaustive_parallel(&start, &env, &GreedyRepair::new(), 3, 3, &ctx);
         assert_eq!(full, clean_full, "exhaustive threads={threads}");
+    }
+}
+
+/// Normal sets with no symmetry for the compressed engines to lean on,
+/// one family per shape a word-level early-out can meet: whole words
+/// normal or empty (`blocks`), a Hamming ball around an arbitrary center
+/// whose inner states survive the adversary's erosion (`ball`), a
+/// scattered explicit set (`sparse`), a dense hash-random set
+/// (`hashed`), and the empty set, which leaves every state hopeless
+/// (`empty`).
+fn asymmetric_normal_sets(n_bits: usize) -> Vec<(&'static str, Box<dyn Constraint>)> {
+    let full = (1u64 << n_bits) - 1;
+    let center = derive_seed(17, n_bits as u64) & full;
+    let members = (0..n_bits as u64).map(|i| Config::from_u64(derive_seed(29, i) & full, n_bits));
+    vec![
+        (
+            "blocks",
+            Box::new(PredicateConstraint::new("blocks", |c: &Config| {
+                (c.to_u64() >> 6).is_multiple_of(3)
+            })),
+        ),
+        (
+            "ball",
+            Box::new(PredicateConstraint::new("ball", move |c: &Config| {
+                (c.to_u64() ^ center).count_ones() <= 3
+            })),
+        ),
+        ("sparse", Box::new(ExplicitSet::new(members))),
+        (
+            "hashed",
+            Box::new(PredicateConstraint::new("hashed", |c: &Config| {
+                derive_seed(5, c.to_u64()).is_multiple_of(4)
+            })),
+        ),
+        ("empty", Box::new(ExplicitSet::new(Vec::<Config>::new()))),
+    ]
+}
+
+/// Both compressed engines equal the dense analyses on asymmetric normal
+/// sets at every width from one word to 2^16 states, for thread counts
+/// that split the words evenly and unevenly, at damage 0, 1 and 2. With
+/// damage ≥ 1 the adversary can undo any repair step that lands on a
+/// normal state, so no non-normal state has a finite worst-case value
+/// and the adversarial fixed point is the normal set itself; damage 0 is
+/// the case where its dilation grows the set level by level.
+#[test]
+fn compressed_frontiers_match_dense_on_asymmetric_normal_sets() {
+    for n_bits in 6usize..=16 {
+        for (name, env) in asymmetric_normal_sets(n_bits) {
+            let env = env.as_ref();
+            let dense = analyze_bit_dcsp(n_bits, env);
+            for threads in [1usize, 2, 3] {
+                let summary = analyze_bit_dcsp_frontiers(n_bits, env, threads);
+                assert_eq!(
+                    summary.frontier_sizes,
+                    dense.frontier_sizes(),
+                    "quiet {name} n={n_bits} threads={threads}"
+                );
+                assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
+            }
+            for damage in [0usize, 1, 2] {
+                let dense = analyze_bit_dcsp_adversarial(n_bits, env, damage, 1);
+                for threads in [1usize, 2, 3] {
+                    let summary =
+                        analyze_bit_dcsp_adversarial_frontiers(n_bits, env, damage, threads);
+                    assert_eq!(
+                        summary.frontier_sizes,
+                        dense.frontier_sizes(),
+                        "adversarial {name} n={n_bits} d={damage} threads={threads}"
+                    );
+                    assert_eq!(
+                        summary.hopeless,
+                        dense.hopeless_states().len() as u64,
+                        "adversarial {name} n={n_bits} d={damage} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 }
