@@ -46,6 +46,26 @@ pub fn xor_shifted_word(src: &[u64], w: usize, m: usize) -> u64 {
     word_xor_permute(src[w ^ (m >> 6)], m & 63)
 }
 
+/// One-flip dilation word: bit `o` of the result says whether some
+/// single-bit neighbor `64·w + o ^ (1 << b)`, `b < n_bits`, is in `src`.
+/// Equal to OR-ing [`xor_shifted_word`] over the `n_bits` one-bit masks,
+/// but the six in-word strides are constant butterflies applied to
+/// `src[w]` once, and each higher bit is a plain word re-index. `src`
+/// must cover `2^n_bits` states with `n_bits >= 6`.
+pub fn one_flip_dilation_word(src: &[u64], w: usize, n_bits: usize) -> u64 {
+    debug_assert!(n_bits >= 6, "one-flip dilation needs whole words");
+    let x = src[w];
+    let mut acc = 0u64;
+    for (b, &mask) in XOR_MASKS.iter().enumerate() {
+        let d = 1 << b;
+        acc |= ((x >> d) & mask) | ((x & mask) << d);
+    }
+    for j in 0..n_bits - 6 {
+        acc |= src[w ^ (1 << j)];
+    }
+    acc
+}
+
 /// In-place union with the XOR-translate of `src`: for every destination
 /// word, OR in [`xor_shifted_word`]. `dst` and `src` must have the same
 /// power-of-two capacity covering `m`.
@@ -335,6 +355,24 @@ mod tests {
             and_xor_shifted(&mut anded, src.words(), m);
             assert_eq!(&anded, translated.words(), "and m={m}");
             assert_eq!(count_words(&ored), translated.count() as u64);
+        }
+    }
+
+    #[test]
+    fn one_flip_dilation_matches_per_bit_gathers() {
+        let mut rng = resilience_core::seeded_rng(61);
+        for n_bits in 6..=10usize {
+            let src: Vec<u64> = (0..1usize << (n_bits - 6))
+                .map(|_| rand::Rng::gen::<u64>(&mut rng) & rand::Rng::gen::<u64>(&mut rng))
+                .collect();
+            for w in 0..src.len() {
+                let want = (0..n_bits).fold(0u64, |acc, b| acc | xor_shifted_word(&src, w, 1 << b));
+                assert_eq!(
+                    one_flip_dilation_word(&src, w, n_bits),
+                    want,
+                    "n={n_bits} w={w}"
+                );
+            }
         }
     }
 

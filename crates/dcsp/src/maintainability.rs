@@ -49,7 +49,7 @@
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-use crate::bitwords::{count_words, xor_shifted_word, BitWords};
+use crate::bitwords::{count_words, one_flip_dilation_word, xor_shifted_word, BitWords};
 use resilience_core::{Config, Constraint, CoreError};
 
 /// "Unreachable / unbounded" sentinel for adversarial values. Kept well
@@ -997,8 +997,10 @@ fn normal_words(n_bits: usize, env: &dyn Constraint, threads: usize, out: &mut [
 /// word-level XOR gather — bit `p` of a frontier word maps to bit
 /// `p ^ m` under flip mask `m`, so low flips permute bits inside a word
 /// and high flips re-index words
-/// ([`crate::bitwords::word_xor_permute`]). Each gather advances 64
-/// sibling states per instruction. Levels are streamed into per-depth
+/// ([`crate::bitwords::one_flip_dilation_word`] gathers all `n` flips of
+/// a word in one pass, and a fully visited word is skipped). Each gather
+/// advances 64 sibling states per instruction. Levels are streamed into
+/// per-depth
 /// counts, never stored per state, which lifts the implicit ceiling from
 /// `2^24` dense states to `2^30` — in less memory than the dense `2^24`
 /// run.
@@ -1053,11 +1055,13 @@ pub fn analyze_bit_dcsp_frontiers(
         run_chunks(next, threads, |start, chunk| {
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let w = start + i;
-                let mut acc = 0u64;
-                for b in 0..n_bits {
-                    acc |= xor_shifted_word(cur, w, 1usize << b);
-                }
-                *slot = acc & !visited[w];
+                let seen = visited[w];
+                // A fully visited word has no state left to discover.
+                *slot = if seen == u64::MAX {
+                    0
+                } else {
+                    one_flip_dilation_word(cur, w, n_bits) & !seen
+                };
             }
         });
         let next = if depth.is_multiple_of(2) {
@@ -1150,26 +1154,34 @@ pub fn analyze_bit_dcsp_adversarial_frontiers(
     loop {
         // W_d into `scratch`: erosion of V_d by the damage ball on the
         // normal states, V_d itself elsewhere.
+        // The erosion only ever clears bits of `V_d ∩ normal`, so a word
+        // with none skips the mask loop, and the loop stops once every
+        // candidate is cleared.
         run_chunks(scratch, threads, |start, chunk| {
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let w = start + i;
-                let mut ero = vd[w];
+                let mut ero = vd[w] & normal[w];
                 for &m in &masks {
+                    if ero == 0 {
+                        break;
+                    }
                     ero &= xor_shifted_word(vd, w, m);
                 }
-                *slot = (vd[w] & !normal[w]) | (normal[w] & ero);
+                *slot = (vd[w] & !normal[w]) | ero;
             }
         });
         // V_{d+1} in place: normal ∪ V_d ∪ one-flip dilation of W_d (the
-        // V_d term is index-local, so in-place writes are safe).
+        // V_d term is index-local, so in-place writes are safe). A word
+        // already full cannot grow, so it skips the dilation.
         run_chunks(vd, threads, |start, chunk| {
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let w = start + i;
-                let mut acc = *slot | normal[w];
-                for b in 0..n_bits {
-                    acc |= xor_shifted_word(scratch, w, 1usize << b);
-                }
-                *slot = acc;
+                let kept = *slot | normal[w];
+                *slot = if kept == u64::MAX {
+                    kept
+                } else {
+                    kept | one_flip_dilation_word(scratch, w, n_bits)
+                };
             }
         });
         let total = count_words(vd);
