@@ -114,26 +114,27 @@ impl Simulation {
         &self.environment
     }
 
-    /// One simulation step.
+    /// One simulation step. Offspring are appended behind the members
+    /// that were alive at the start of the step and do not act until
+    /// the next one.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.environment.step(rng);
-        let target = self.environment.target().clone();
-        let mut offspring = Vec::new();
-        let capacity = self.config.capacity;
-        let alive = self.population.len();
-        for o in self.population.members_mut() {
+        let target = self.environment.target();
+        let config = &self.config;
+        let members = self.population.members_mut();
+        let alive = members.len();
+        for i in 0..alive {
+            let o = &mut members[i];
             o.age += 1;
-            o.adapt(&target);
-            if o.is_fit(&target, self.config.fit_threshold) {
-                o.resource += self.config.income;
+            o.adapt(target);
+            if o.is_fit(target, config.fit_threshold) {
+                o.resource += config.income;
             }
-            o.resource -= self.config.upkeep;
-            if o.resource >= self.config.reproduce_at && alive + offspring.len() < capacity {
-                offspring.push(o.reproduce(self.params.mutation_rate, rng));
+            o.resource -= config.upkeep;
+            if o.resource >= config.reproduce_at && members.len() < config.capacity {
+                let child = members[i].reproduce(self.params.mutation_rate, rng);
+                members.push(child);
             }
-        }
-        for child in offspring {
-            self.population.push(child);
         }
         self.population.reap();
     }
@@ -277,8 +278,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mutation_sustains_diversity() {
+    /// A high-mutation, zero-adaptation run: many genotype classes.
+    fn diverse_run() -> SimOutcome {
         let mut rng = seeded_rng(246);
         let env = Environment::random(32, EnvironmentKind::Static, &mut rng);
         // Zero adaptation: otherwise every lineage hill-climbs back onto
@@ -290,8 +291,31 @@ mod tests {
             adaptation_rate: 0,
         };
         let mut sim = Simulation::new(SimConfig::default(), high_mu, env, &mut rng);
-        let out = sim.run(200, &mut rng);
+        sim.run(200, &mut rng)
+    }
+
+    #[test]
+    fn mutation_sustains_diversity() {
+        let out = diverse_run();
         let late_diversity = *out.diversity_series.values().last().unwrap();
         assert!(late_diversity > 2.0, "diversity {late_diversity}");
+    }
+
+    #[test]
+    fn diversity_series_is_bit_reproducible() {
+        // Σp² is summed over the genotype classes in one fixed order, so
+        // the same seed gives the same bits on every run, not just the
+        // same value to rounding.
+        let bits = |out: SimOutcome| -> Vec<u64> {
+            out.diversity_series
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let (first, second) = (bits(diverse_run()), bits(diverse_run()));
+        assert_eq!(first.len(), second.len());
+        let step = first.iter().zip(&second).position(|(a, b)| a != b);
+        assert_eq!(step, None, "the two runs first differ at step {step:?}");
     }
 }

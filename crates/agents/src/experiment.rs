@@ -5,10 +5,13 @@
 //!
 //! [`sweep_budgets`] runs the multi-agent simulation across the budget
 //! simplex for a given shock regime and reports survival probabilities.
+//! Every entry point builds [`SweepCell`]s and hands them to
+//! [`evaluate_cells`], the one simulation loop, which fans the
+//! (cell, replicate) runs out on a thread budget.
 
 use rand::Rng;
 
-use resilience_core::{derive_seed, seeded_rng, BudgetAllocation};
+use resilience_core::{derive_seed, seeded_rng, BudgetAllocation, ParallelTrials};
 use serde::{Deserialize, Serialize};
 
 use crate::budget::BudgetedParams;
@@ -80,6 +83,70 @@ impl RegimeOutcome {
     }
 }
 
+/// One cell of an allocation sweep: an allocation under a regime, with
+/// the seed its replicates derive from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepCell {
+    /// The budget split.
+    pub allocation: BudgetAllocation,
+    /// The regime tested.
+    pub regime: ShockRegime,
+    /// Replicate `rep` runs on `seeded_rng(derive_seed(seed, rep))`.
+    pub seed: u64,
+}
+
+/// Evaluate every cell with `replicates` independent runs of `steps`
+/// steps each. The `cells.len() × replicates` runs are fanned out on
+/// `threads` workers, one (cell, replicate) pair per work item, and
+/// folded in (cell, replicate) order, so the outcomes are bit-identical
+/// for every thread budget; `threads = 1` runs them in that order on the
+/// calling thread.
+pub fn evaluate_cells(
+    cells: &[SweepCell],
+    steps: usize,
+    replicates: usize,
+    threads: usize,
+) -> Vec<RegimeOutcome> {
+    let config = SimConfig::default();
+    let runs = cells.len() * replicates;
+    // Final population of each run, `None` when it went extinct.
+    let finals = ParallelTrials::new(threads.max(1)).run_ranges(
+        runs as u64,
+        1,
+        |range| {
+            let run = range.start as usize;
+            let cell = &cells[run / replicates];
+            let mut rng = seeded_rng(derive_seed(cell.seed, (run % replicates) as u64));
+            let env = Environment::random(config.n_bits, cell.regime.environment_kind(), &mut rng);
+            let params = BudgetedParams::from_allocation(&cell.allocation);
+            let out = Simulation::new(config, params, env, &mut rng).run(steps, &mut rng);
+            (!out.extinct).then(|| *out.population_series.values().last().unwrap_or(&0.0))
+        },
+        Vec::with_capacity(runs),
+        |mut acc, last: Option<f64>| {
+            acc.push(last);
+            acc
+        },
+    );
+    cells
+        .iter()
+        .enumerate()
+        .map(|(c, cell)| {
+            let runs = &finals[c * replicates..(c + 1) * replicates];
+            RegimeOutcome {
+                allocation: cell.allocation,
+                regime: cell.regime,
+                replicates,
+                survivals: runs.iter().flatten().count(),
+                // Folded from +0.0: `Sum` starts at −0.0, which would
+                // print an all-extinct cell as "-0".
+                mean_final_population: runs.iter().flatten().fold(0.0, |acc, p| acc + p)
+                    / replicates.max(1) as f64,
+            }
+        })
+        .collect()
+}
+
 /// Evaluate one allocation under one regime (`replicates` independent
 /// runs of `steps` steps each, seeded from `seed`).
 pub fn evaluate_allocation(
@@ -89,27 +156,29 @@ pub fn evaluate_allocation(
     replicates: usize,
     seed: u64,
 ) -> RegimeOutcome {
-    let params = BudgetedParams::from_allocation(allocation);
-    let config = SimConfig::default();
-    let mut survivals = 0;
-    let mut pop_sum = 0.0;
-    for rep in 0..replicates {
-        let mut rng = seeded_rng(derive_seed(seed, rep as u64));
-        let env = Environment::random(config.n_bits, regime.environment_kind(), &mut rng);
-        let mut sim = Simulation::new(config, params, env, &mut rng);
-        let out = sim.run(steps, &mut rng);
-        if !out.extinct {
-            survivals += 1;
-            pop_sum += *out.population_series.values().last().unwrap_or(&0.0);
-        }
-    }
-    RegimeOutcome {
+    let cell = SweepCell {
         allocation: *allocation,
         regime,
-        replicates,
-        survivals,
-        mean_final_population: pop_sum / replicates.max(1) as f64,
-    }
+        seed,
+    };
+    evaluate_cells(&[cell], steps, replicates, 1)
+        .pop()
+        .expect("one outcome per cell")
+}
+
+/// The cells of a whole budget-simplex sweep (`grid_steps`
+/// subdivisions) under one regime; cell `i` is seeded
+/// `derive_seed(seed, i)`.
+pub fn sweep_cells(regime: ShockRegime, grid_steps: usize, seed: u64) -> Vec<SweepCell> {
+    BudgetAllocation::simplex_grid(grid_steps)
+        .into_iter()
+        .enumerate()
+        .map(|(i, allocation)| SweepCell {
+            allocation,
+            regime,
+            seed: derive_seed(seed, i as u64),
+        })
+        .collect()
 }
 
 /// Sweep the whole budget simplex (`grid_steps` subdivisions) under one
@@ -121,19 +190,7 @@ pub fn sweep_budgets(
     replicates: usize,
     seed: u64,
 ) -> Vec<RegimeOutcome> {
-    BudgetAllocation::simplex_grid(grid_steps)
-        .iter()
-        .enumerate()
-        .map(|(i, alloc)| {
-            evaluate_allocation(
-                alloc,
-                regime,
-                steps,
-                replicates,
-                derive_seed(seed, i as u64),
-            )
-        })
-        .collect()
+    evaluate_cells(&sweep_cells(regime, grid_steps, seed), steps, replicates, 1)
 }
 
 /// The best allocation of a sweep (highest survival, ties broken by final
@@ -146,6 +203,26 @@ pub fn best_allocation(outcomes: &[RegimeOutcome]) -> Option<&RegimeOutcome> {
     })
 }
 
+/// The ablation cells under `regime`: the uniform mix, then each pure
+/// corner; cell `i` is seeded `derive_seed(seed, 100 + i)`.
+pub fn ablation_cells(regime: ShockRegime, seed: u64) -> Vec<SweepCell> {
+    use resilience_core::Strategy;
+    [
+        BudgetAllocation::uniform(),
+        BudgetAllocation::pure(Strategy::Redundancy),
+        BudgetAllocation::pure(Strategy::Diversity),
+        BudgetAllocation::pure(Strategy::Adaptability),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, allocation)| SweepCell {
+        allocation,
+        regime,
+        seed: derive_seed(seed, 100 + i as u64),
+    })
+    .collect()
+}
+
 /// Convenience used by tests and the bench harness: an ablation row
 /// comparing the uniform mix against each pure corner under `regime`.
 pub fn ablation_rows(
@@ -154,26 +231,7 @@ pub fn ablation_rows(
     replicates: usize,
     seed: u64,
 ) -> Vec<RegimeOutcome> {
-    use resilience_core::Strategy;
-    let allocations = [
-        BudgetAllocation::uniform(),
-        BudgetAllocation::pure(Strategy::Redundancy),
-        BudgetAllocation::pure(Strategy::Diversity),
-        BudgetAllocation::pure(Strategy::Adaptability),
-    ];
-    allocations
-        .iter()
-        .enumerate()
-        .map(|(i, alloc)| {
-            evaluate_allocation(
-                alloc,
-                regime,
-                steps,
-                replicates,
-                derive_seed(seed, 100 + i as u64),
-            )
-        })
-        .collect()
+    evaluate_cells(&ablation_cells(regime, seed), steps, replicates, 1)
 }
 
 /// A deterministic RNG helper for external drivers that want their own
@@ -263,6 +321,27 @@ mod tests {
             7,
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn evaluate_cells_is_thread_invariant_and_per_cell() {
+        let mut cells = ablation_cells(ShockRegime::FrequentShocks, 5);
+        cells.extend(sweep_cells(ShockRegime::SteadyDrift, 2, 6));
+        let serial = evaluate_cells(&cells, 80, 3, 1);
+        for threads in [2usize, 3] {
+            assert_eq!(
+                evaluate_cells(&cells, 80, 3, threads),
+                serial,
+                "threads={threads}"
+            );
+        }
+        for (cell, outcome) in cells.iter().zip(&serial) {
+            let alone = evaluate_allocation(&cell.allocation, cell.regime, 80, 3, cell.seed);
+            assert_eq!(&alone, outcome);
+        }
+        assert!(evaluate_cells(&cells, 80, 0, 2)
+            .iter()
+            .all(|o| o.replicates == 0 && o.mean_final_population == 0.0));
     }
 
     #[test]

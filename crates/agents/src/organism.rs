@@ -48,18 +48,12 @@ impl Organism {
     }
 
     /// One adaptation move: flip up to `adaptation_rate` mismatched bits
-    /// toward the target (the organism senses its own misfit). Returns the
-    /// number of bits fixed.
+    /// toward the target, lowest index first (the organism senses its
+    /// own misfit). Returns the number of bits fixed.
     pub fn adapt(&mut self, target: &Config) -> usize {
-        let mismatched = match self.genome.differing_bits(target) {
-            Ok(m) => m,
-            Err(_) => return 0,
-        };
-        let fix = mismatched.len().min(self.adaptation_rate);
-        for &bit in mismatched.iter().take(fix) {
-            self.genome.flip(bit);
-        }
-        fix
+        self.genome
+            .flip_towards(target, self.adaptation_rate)
+            .unwrap_or(0)
     }
 
     /// Produce an offspring: the parent's resource is split in half, and

@@ -1,7 +1,5 @@
 //! The agent population and the §4.4 metric set.
 
-use std::collections::HashMap;
-
 use resilience_core::Config;
 use resilience_ecology::diversity_index;
 
@@ -77,6 +75,10 @@ impl Population {
 
     /// Compute the §4.4 statistics against `target` with fitness
     /// `threshold`.
+    ///
+    /// One pass computes each organism's fitness once; genotype classes
+    /// are counted in sorted genome order, so the diversity sum runs in
+    /// the same order on every call and is bit-reproducible.
     pub fn stats(&self, target: &Config, threshold: f64) -> PopulationStats {
         if self.members.is_empty() {
             return PopulationStats {
@@ -87,23 +89,26 @@ impl Population {
                 fit_fraction: 0.0,
             };
         }
-        let mut classes: HashMap<&Config, usize> = HashMap::new();
+        let (mut resource, mut fitness, mut fit) = (0.0, 0.0, 0usize);
         for o in &self.members {
-            *classes.entry(&o.genome).or_insert(0) += 1;
+            let f = o.fitness(target);
+            resource += o.resource;
+            fitness += f;
+            fit += usize::from(f >= threshold);
         }
-        let counts: Vec<f64> = classes.values().map(|&c| c as f64).collect();
+        let mut genomes: Vec<&Config> = self.members.iter().map(|o| &o.genome).collect();
+        genomes.sort_unstable();
+        let counts: Vec<f64> = genomes
+            .chunk_by(|a, b| a == b)
+            .map(|class| class.len() as f64)
+            .collect();
         let n = self.members.len() as f64;
         PopulationStats {
             size: self.members.len(),
             genotype_diversity: diversity_index(&counts).unwrap_or(0.0),
-            mean_resource: self.members.iter().map(|o| o.resource).sum::<f64>() / n,
-            mean_fitness: self.members.iter().map(|o| o.fitness(target)).sum::<f64>() / n,
-            fit_fraction: self
-                .members
-                .iter()
-                .filter(|o| o.is_fit(target, threshold))
-                .count() as f64
-                / n,
+            mean_resource: resource / n,
+            mean_fitness: fitness / n,
+            fit_fraction: fit as f64 / n,
         }
     }
 }

@@ -1,6 +1,8 @@
 //! E14 — the §4.4 budget-allocation question on the multi-agent testbed.
 
-use resilience_agents::experiment::{ablation_rows, best_allocation, sweep_budgets, ShockRegime};
+use resilience_agents::experiment::{
+    ablation_cells, best_allocation, evaluate_cells, sweep_cells, ShockRegime,
+};
 
 use crate::table::ExperimentTable;
 use resilience_core::RunContext;
@@ -10,23 +12,31 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
     let seed = ctx.seed;
     let steps = 300;
     let replicates = 8;
-    let mut rows = Vec::new();
 
-    // Ablation corners per regime.
-    for regime in ShockRegime::ALL {
-        for outcome in ablation_rows(regime, steps, replicates, seed.wrapping_add(14)) {
-            rows.push(vec![
-                format!("{:?}", regime),
+    // Ablation corners per regime, then the full simplex sweep under
+    // drift (where is the optimum?), evaluated as one batch so every
+    // (cell, replicate) run shares the thread budget.
+    let mut cells: Vec<_> = ShockRegime::ALL
+        .into_iter()
+        .flat_map(|regime| ablation_cells(regime, seed.wrapping_add(14)))
+        .collect();
+    let ablations = cells.len();
+    cells.extend(sweep_cells(ShockRegime::SteadyDrift, 4, seed ^ 0xE14));
+    let outcomes = evaluate_cells(&cells, steps, replicates, ctx.threads());
+    let (ablation, sweep) = outcomes.split_at(ablations);
+
+    let mut rows: Vec<Vec<String>> = ablation
+        .iter()
+        .map(|outcome| {
+            vec![
+                format!("{:?}", outcome.regime),
                 outcome.allocation.to_string(),
                 format!("{:.2}", outcome.survival_rate()),
                 format!("{:.0}", outcome.mean_final_population),
-            ]);
-        }
-    }
-
-    // Full simplex sweep under drift: where is the optimum?
-    let sweep = sweep_budgets(ShockRegime::SteadyDrift, 4, steps, replicates, seed ^ 0xE14);
-    let best = best_allocation(&sweep).expect("non-empty sweep");
+            ]
+        })
+        .collect();
+    let best = best_allocation(sweep).expect("non-empty sweep");
     rows.push(vec![
         "SteadyDrift (simplex optimum)".into(),
         best.allocation.to_string(),

@@ -20,6 +20,10 @@ const WORD_BITS: usize = 64;
 /// Bit `i = 1` conventionally means "component `i` is good" (the paper's
 /// spacecraft example), but the interpretation is up to the constraint.
 ///
+/// `Ord` is a fixed total order (length, then the packed words), not a
+/// numeric one: it exists so callers can group equal configurations
+/// deterministically, without a hash map's iteration order.
+///
 /// # Example
 ///
 /// ```
@@ -31,7 +35,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(c.to_string(), "10010");
 /// assert_eq!(c.count_ones(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Config {
     len: usize,
     words: Vec<u64>,
@@ -260,6 +264,34 @@ impl Config {
         Ok((0..self.len)
             .filter(|&i| self.get(i) != other.get(i))
             .collect())
+    }
+
+    /// Flip, in place, the lowest-indexed bits where this configuration
+    /// differs from `target`, at most `max_flips` of them: the first
+    /// `max_flips` entries of [`Config::differing_bits`], without
+    /// collecting them. Returns the number of bits flipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
+    pub fn flip_towards(&mut self, target: &Config, max_flips: usize) -> Result<usize, CoreError> {
+        if self.len != target.len {
+            return Err(CoreError::LengthMismatch {
+                left: self.len,
+                right: target.len,
+            });
+        }
+        let mut left = max_flips;
+        for (word, &goal) in self.words.iter_mut().zip(&target.words) {
+            let mut diff = *word ^ goal;
+            while diff != 0 && left > 0 {
+                let lowest = diff & diff.wrapping_neg();
+                *word ^= lowest;
+                diff ^= lowest;
+                left -= 1;
+            }
+        }
+        Ok(max_flips - left)
     }
 
     /// Indices of 1-bits.
@@ -561,6 +593,32 @@ mod tests {
         assert_eq!(a.differing_bits(&b).unwrap(), vec![0, 3]);
         assert_eq!(a.ones_indices(), vec![0, 2]);
         assert_eq!(a.zeros_indices(), vec![1, 3]);
+    }
+
+    #[test]
+    fn flip_towards_fixes_the_lowest_differing_bits() {
+        for len in [1usize, 7, 64, 65, 130] {
+            for seed in 0..4u64 {
+                let mut rng = seeded_rng(seed ^ (len as u64) << 8);
+                let start = Config::random(len, &mut rng);
+                let target = Config::random(len, &mut rng);
+                let differing = start.differing_bits(&target).unwrap();
+                for max_flips in [0usize, 1, 3, len + 1] {
+                    let mut walked = start.clone();
+                    let fixed = walked.flip_towards(&target, max_flips).unwrap();
+                    let mut want = start.clone();
+                    for &bit in differing.iter().take(max_flips) {
+                        want.flip(bit);
+                    }
+                    assert_eq!(fixed, differing.len().min(max_flips));
+                    assert_eq!(walked, want, "len={len} seed={seed} k={max_flips}");
+                }
+            }
+        }
+        assert!(matches!(
+            Config::zeros(3).flip_towards(&Config::ones(4), 1),
+            Err(CoreError::LengthMismatch { left: 3, right: 4 })
+        ));
     }
 
     #[test]
