@@ -31,11 +31,14 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
             },
         ),
     ];
+    // Every policy starts from the same warmed pile and rng state, so
+    // warm once and hand each policy a clone of both.
+    let mut warm_rng = seeded_rng(seed.wrapping_add(16));
+    let mut warm_pile = Sandpile::new(40, 40);
+    warm_pile.warm_up(70_000, &mut warm_rng);
+    let density = warm_pile.density();
     for (label, policy) in policies {
-        let mut rng = seeded_rng(seed.wrapping_add(16));
-        let mut pile = Sandpile::new(40, 40);
-        pile.warm_up(70_000, &mut rng);
-        let density = pile.density();
+        let (mut pile, mut rng) = (warm_pile.clone(), warm_rng.clone());
         let report = pile.run(drops, policy, &mut rng);
         let sizes: Vec<f64> = report
             .avalanche_sizes
