@@ -57,7 +57,7 @@ pub use detector::{
     EarlyWarningConfig, WarningSnapshot,
 };
 pub use modes::{
-    AnticipationConfig, AnticipationController, ModePolicy, ModeSwitch, ModeSwitchConfig,
-    ModeTransition, OperatingMode,
+    AnticipationConfig, AnticipationController, ModeBandError, ModePolicy, ModeSwitch,
+    ModeSwitchConfig, ModeTransition, OperatingMode,
 };
 pub use provision::{LossWindow, ProvisioningPolicy};

@@ -119,22 +119,123 @@ impl ModeSwitchConfig {
     ///
     /// # Panics
     ///
-    /// Panics if either band is non-finite or `off > on` (a release band
-    /// above the entry band flaps on every tick).
+    /// Panics if the bands fail [`ModeSwitchConfig::validate`]: either
+    /// is non-finite, or `off > on`.
     pub fn two_state(on: f64, off: f64) -> Self {
-        assert!(
-            on.is_finite() && off.is_finite() && off <= on,
-            "two_state bands must be finite with off <= on"
-        );
-        ModeSwitchConfig {
+        let config = ModeSwitchConfig {
             alert_on: on,
             alert_off: off,
             emergency_on: f64::INFINITY,
             dwell: 0,
             ..ModeSwitchConfig::default()
+        };
+        if let Err(e) = config.validate() {
+            panic!("two_state: {e}");
+        }
+        config
+    }
+
+    /// Check the hysteresis bands: every band finite, except that
+    /// `emergency_on` may be `+∞` (Emergency is never entered); each
+    /// release band at or below its entry band; and Alert entered at or
+    /// below the Emergency entry. A release band above its entry band
+    /// flaps on every tick, and a NaN entry band never fires, so
+    /// [`ModeSwitch`] would run either silently wrong. Checked once when
+    /// a serving engine is built, never per tick.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, as a [`ModeBandError`].
+    pub fn validate(&self) -> Result<(), ModeBandError> {
+        let finite = [
+            ("alert_on", self.alert_on),
+            ("alert_off", self.alert_off),
+            ("emergency_off", self.emergency_off),
+        ];
+        for (band, value) in finite {
+            if !value.is_finite() {
+                return Err(ModeBandError::NonFinite { band, value });
+            }
+        }
+        if self.emergency_on.is_nan() || self.emergency_on == f64::NEG_INFINITY {
+            return Err(ModeBandError::NonFinite {
+                band: "emergency_on",
+                value: self.emergency_on,
+            });
+        }
+        let bands = [
+            (OperatingMode::Alert, self.alert_on, self.alert_off),
+            (
+                OperatingMode::Emergency,
+                self.emergency_on,
+                self.emergency_off,
+            ),
+        ];
+        for (mode, on, off) in bands {
+            if off > on {
+                return Err(ModeBandError::ReleaseAboveEntry { mode, on, off });
+            }
+        }
+        if self.alert_on > self.emergency_on {
+            return Err(ModeBandError::AlertAboveEmergency {
+                alert_on: self.alert_on,
+                emergency_on: self.emergency_on,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Why [`ModeSwitchConfig::validate`] rejected a set of bands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ModeBandError {
+    /// A band is NaN or infinite (`emergency_on` may be `+∞`).
+    NonFinite {
+        /// The field name.
+        band: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// A release band sits above its entry band.
+    ReleaseAboveEntry {
+        /// The mode the bands enter and release.
+        mode: OperatingMode,
+        /// Entry band.
+        on: f64,
+        /// Release band.
+        off: f64,
+    },
+    /// Alert is entered above the Emergency entry.
+    AlertAboveEmergency {
+        /// Alert entry band.
+        alert_on: f64,
+        /// Emergency entry band.
+        emergency_on: f64,
+    },
+}
+
+impl fmt::Display for ModeBandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModeBandError::NonFinite { band, value } => {
+                write!(f, "mode band `{band}` must be finite, got {value}")
+            }
+            ModeBandError::ReleaseAboveEntry { mode, on, off } => write!(
+                f,
+                "{mode} bands need off <= on, got off {off} above on {on}"
+            ),
+            ModeBandError::AlertAboveEmergency {
+                alert_on,
+                emergency_on,
+            } => write!(
+                f,
+                "alert_on {alert_on} must not exceed emergency_on {emergency_on}"
+            ),
         }
     }
 }
+
+impl std::error::Error for ModeBandError {}
 
 /// One recorded mode change.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -483,6 +584,63 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn two_state_rejects_a_non_finite_band() {
         let _ = ModeSwitchConfig::two_state(f64::NAN, 1.0);
+    }
+
+    #[test]
+    fn validate_rejects_a_flapping_release_band_and_a_nan_entry_band() {
+        // The two reported cases: off above on flaps every tick, and a
+        // NaN entry band never escalates.
+        let flapping = ModeSwitchConfig {
+            alert_on: 1.0,
+            alert_off: 2.0,
+            ..ModeSwitchConfig::default()
+        };
+        assert_eq!(
+            flapping.validate(),
+            Err(ModeBandError::ReleaseAboveEntry {
+                mode: OperatingMode::Alert,
+                on: 1.0,
+                off: 2.0
+            })
+        );
+        let nan = ModeSwitchConfig {
+            alert_on: f64::NAN,
+            ..ModeSwitchConfig::default()
+        };
+        assert!(matches!(
+            nan.validate(),
+            Err(ModeBandError::NonFinite { band: "alert_on", value }) if value.is_nan()
+        ));
+    }
+
+    #[test]
+    fn validate_checks_the_emergency_band_and_the_band_order() {
+        assert_eq!(ModeSwitchConfig::default().validate(), Ok(()));
+        assert_eq!(ModeSwitchConfig::two_state(8.0, 1.0).validate(), Ok(()));
+        let inverted = ModeSwitchConfig {
+            emergency_off: 0.9,
+            ..ModeSwitchConfig::default()
+        };
+        assert!(matches!(
+            inverted.validate(),
+            Err(ModeBandError::ReleaseAboveEntry {
+                mode: OperatingMode::Emergency,
+                ..
+            })
+        ));
+        let crossed = ModeSwitchConfig {
+            alert_on: 0.9,
+            ..ModeSwitchConfig::default()
+        };
+        assert!(matches!(
+            crossed.validate(),
+            Err(ModeBandError::AlertAboveEmergency { .. })
+        ));
+        let never_alert = ModeSwitchConfig {
+            alert_on: f64::INFINITY,
+            ..ModeSwitchConfig::default()
+        };
+        assert!(never_alert.validate().is_err());
     }
 
     #[test]

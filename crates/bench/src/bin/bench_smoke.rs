@@ -1037,11 +1037,13 @@ fn run_obs_smoke(reps: usize) {
         .expect("canned chaos spec parses")
         .plan;
     // The default switch thresholds park this workload in Alert; lower
-    // the Emergency band so the run genuinely escalates — the incident
-    // gate needs a ModeEscalation trigger to check against.
+    // the Emergency band (entry and release) so the run genuinely
+    // escalates — the incident gate needs a ModeEscalation trigger to
+    // check against.
     let escalating_config = || {
         let mut cfg = AnticipationConfig::default();
         cfg.switch.emergency_on = 0.40;
+        cfg.switch.emergency_off = 0.30;
         cfg
     };
     let config = |threads: usize| ServiceConfig {

@@ -44,10 +44,12 @@
 //! `bruneau::resilience_loss` over this trajectory — the service scores
 //! its own resilience triangle.
 
+use std::fmt;
+
 use rand::Rng;
 use resilience_anticipate::{
-    AnticipationConfig, AnticipationController, LossWindow, ModePolicy, ModeTransition,
-    OperatingMode,
+    AnticipationConfig, AnticipationController, LossWindow, ModeBandError, ModePolicy,
+    ModeTransition, OperatingMode,
 };
 use resilience_core::bruneau::resilience_loss;
 use resilience_core::faults::{FaultKind, FaultPlan};
@@ -277,23 +279,71 @@ pub struct ServiceEngine {
     pub(crate) config: ServiceConfig,
 }
 
+/// Why [`ServiceEngine::try_new`] rejected a [`ServiceConfig`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `threads == 0`.
+    ZeroThreads,
+    /// A replication config asks for zero replicas.
+    ZeroReplicas,
+    /// The anticipation loop's mode-switch bands are invalid.
+    ModeBands(ModeBandError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroThreads => write!(f, "thread budget must be at least 1"),
+            ConfigError::ZeroReplicas => write!(f, "a replica set needs at least one replica"),
+            ConfigError::ModeBands(e) => write!(f, "anticipation {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ConfigError::ModeBands(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl ServiceEngine {
     /// An engine with the given tuning.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, if a replication config asks for zero
-    /// replicas, or if `servers_per_family == 0` or
-    /// `rate_per_server == 0` (delegated to the bulkhead constructor).
+    /// Panics with the [`ConfigError`] message where
+    /// [`ServiceEngine::try_new`] would return one, or if
+    /// `servers_per_family == 0` or `rate_per_server == 0` (delegated to
+    /// the bulkhead constructor).
     pub fn new(config: ServiceConfig) -> Self {
-        assert!(config.threads >= 1, "thread budget must be at least 1");
-        if let Some(rcfg) = &config.replication {
-            assert!(
-                rcfg.replicas >= 1,
-                "a replica set needs at least one replica"
-            );
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An engine with the given tuning, validated once here so the tick
+    /// loop never re-checks it.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ZeroThreads`] if `threads == 0`,
+    /// [`ConfigError::ZeroReplicas`] if a replication config asks for
+    /// zero replicas, and [`ConfigError::ModeBands`] if the anticipation
+    /// loop's mode-switch bands fail [`ModeSwitchConfig::validate`].
+    ///
+    /// [`ModeSwitchConfig::validate`]: resilience_anticipate::ModeSwitchConfig::validate
+    pub fn try_new(config: ServiceConfig) -> Result<Self, ConfigError> {
+        if config.threads == 0 {
+            return Err(ConfigError::ZeroThreads);
         }
-        ServiceEngine { config }
+        if config.replication.as_ref().is_some_and(|r| r.replicas == 0) {
+            return Err(ConfigError::ZeroReplicas);
+        }
+        if let Some(acfg) = &config.anticipation {
+            acfg.switch.validate().map_err(ConfigError::ModeBands)?;
+        }
+        Ok(ServiceEngine { config })
     }
 
     /// Replay `trace` under `plan`, returning the deterministic report.
@@ -1202,4 +1252,92 @@ fn last_open_tick(breaker: &CircuitBreaker) -> Option<u64> {
         .rev()
         .find(|t| t.to == BreakerState::Open)
         .map(|t| t.tick)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::ReplicationConfig;
+    use resilience_anticipate::ModeSwitchConfig;
+
+    fn anticipatory(switch: ModeSwitchConfig) -> ServiceConfig {
+        ServiceConfig {
+            anticipation: Some(AnticipationConfig {
+                switch,
+                ..AnticipationConfig::default()
+            }),
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_zero_threads_and_zero_replicas() {
+        let no_threads = ServiceConfig {
+            threads: 0,
+            ..ServiceConfig::default()
+        };
+        assert!(matches!(
+            ServiceEngine::try_new(no_threads),
+            Err(ConfigError::ZeroThreads)
+        ));
+        let no_replicas = ServiceConfig {
+            replication: Some(ReplicationConfig {
+                replicas: 0,
+                ..ReplicationConfig::default()
+            }),
+            ..ServiceConfig::default()
+        };
+        assert!(matches!(
+            ServiceEngine::try_new(no_replicas),
+            Err(ConfigError::ZeroReplicas)
+        ));
+        assert!(ServiceEngine::try_new(anticipatory(ModeSwitchConfig::default())).is_ok());
+    }
+
+    #[test]
+    fn try_new_rejects_a_flapping_band_and_a_nan_band() {
+        let flapping = anticipatory(ModeSwitchConfig {
+            alert_on: 1.0,
+            alert_off: 2.0,
+            ..ModeSwitchConfig::default()
+        });
+        assert!(matches!(
+            ServiceEngine::try_new(flapping),
+            Err(ConfigError::ModeBands(
+                ModeBandError::ReleaseAboveEntry { .. }
+            ))
+        ));
+        let nan = anticipatory(ModeSwitchConfig {
+            alert_on: f64::NAN,
+            ..ModeSwitchConfig::default()
+        });
+        assert!(matches!(
+            ServiceEngine::try_new(nan),
+            Err(ConfigError::ModeBands(ModeBandError::NonFinite {
+                band: "alert_on",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "thread budget must be at least 1")]
+    fn new_keeps_its_zero_threads_panic() {
+        let _ = ServiceEngine::new(ServiceConfig {
+            threads: 0,
+            ..ServiceConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a replica set needs at least one replica")]
+    fn new_keeps_its_zero_replicas_panic() {
+        let _ = ServiceEngine::new(ServiceConfig {
+            replication: Some(ReplicationConfig {
+                replicas: 0,
+                ..ReplicationConfig::default()
+            }),
+            ..ServiceConfig::default()
+        });
+    }
 }

@@ -66,7 +66,7 @@ pub mod telemetry;
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use brownout::{BrownoutConfig, BrownoutController};
 pub use bulkhead::{Bulkhead, BulkheadProbe, Job};
-pub use engine::{FamilyStats, ServiceConfig, ServiceEngine, ServiceReport};
+pub use engine::{ConfigError, FamilyStats, ServiceConfig, ServiceEngine, ServiceReport};
 pub use replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
 };

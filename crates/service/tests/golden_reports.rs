@@ -234,10 +234,13 @@ fn replicated_n2_gray_storm() {
 
 /// The `bench_smoke obs` configuration: anticipation with the Emergency
 /// band lowered so the canned workload escalates and trips the flight
-/// recorder.
+/// recorder. The release band moves below the entry band with it: the
+/// default release (0.50) above a 0.40 entry is the flapping band that
+/// `ModeSwitchConfig::validate` rejects.
 fn escalating() -> AnticipationConfig {
     let mut cfg = AnticipationConfig::default();
     cfg.switch.emergency_on = 0.40;
+    cfg.switch.emergency_off = 0.30;
     cfg
 }
 
@@ -252,9 +255,9 @@ fn anticipatory_escalating() {
         "anticipatory_escalating",
         got,
         [
-            (0x3532c11d38c49469, 80881),
-            (0x49bbc492aa7b5a2c, 6622),
-            (0xa379f3c9c71d8272, 231071),
+            (0x4bf7ff3fe8eeb9e1, 80881),
+            (0xe08374a335d2707c, 6622),
+            (0xd4aca4a002aa7500, 231071),
             (0x4884349d2baebd13, 1225),
         ],
     );
@@ -296,9 +299,9 @@ fn anticipatory_replicated_n2() {
         "anticipatory_replicated_n2",
         got,
         [
-            (0x741272fb90add3a2, 116228),
-            (0xbf01e5455c5bb3e2, 8086),
-            (0xcff042caa08198af, 341849),
+            (0x487bc1c457f60398, 116228),
+            (0x97c92168367299f9, 8086),
+            (0x94f69908314835ec, 341849),
             (0xc0cfd134eea69cb1, 4062),
         ],
     );

@@ -30,10 +30,11 @@ fn service_chaos() -> FaultPlan {
 
 /// An anticipation tuning whose Emergency band sits low enough that the
 /// chaos workload genuinely escalates (the default bands park it in
-/// Alert).
+/// Alert), with its release band below the entry band.
 fn escalating_anticipation() -> AnticipationConfig {
     let mut cfg = AnticipationConfig::default();
     cfg.switch.emergency_on = 0.40;
+    cfg.switch.emergency_off = 0.30;
     cfg
 }
 
