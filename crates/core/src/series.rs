@@ -1,7 +1,8 @@
-//! Generic uniformly-sampled time series with windowed statistics.
+//! Generic uniformly-sampled time series with summary statistics.
 //!
-//! Shared by the early-warning-signal detectors (`resilience-stats`), the
-//! MAPE-K loop (`resilience-engineering`), and the agent testbed.
+//! Shared by the bistable process (`resilience-stats`), the MAPE-K and
+//! regulation loops (`resilience-engineering`), the ecology models, and
+//! the agent testbed.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,29 +97,6 @@ impl TimeSeries {
         numer / denom
     }
 
-    /// Non-overlapping trailing window of the last `w` samples, if
-    /// available.
-    pub fn tail_window(&self, w: usize) -> Option<&[f64]> {
-        if self.values.len() < w {
-            None
-        } else {
-            Some(&self.values[self.values.len() - w..])
-        }
-    }
-
-    /// Iterate over sliding windows of width `w` (stride 1).
-    pub fn windows(&self, w: usize) -> impl Iterator<Item = &[f64]> {
-        self.values.windows(w.max(1))
-    }
-
-    /// Map each sliding window of width `w` through `f`, producing a
-    /// derived series aligned to the window's *end*.
-    pub fn rolling<F: FnMut(&[f64]) -> f64>(&self, w: usize, mut f: F) -> TimeSeries {
-        TimeSeries {
-            values: self.values.windows(w.max(1)).map(&mut f).collect(),
-        }
-    }
-
     /// Minimum value (`NaN` if empty).
     pub fn min(&self) -> f64 {
         self.values.iter().copied().fold(f64::NAN, f64::min)
@@ -194,20 +172,6 @@ mod tests {
         assert!(TimeSeries::from_values(vec![3.0; 10])
             .lag1_autocorrelation()
             .is_nan());
-    }
-
-    #[test]
-    fn tail_window() {
-        let s: TimeSeries = (0..5).map(|i| i as f64).collect();
-        assert_eq!(s.tail_window(2), Some(&[3.0, 4.0][..]));
-        assert_eq!(s.tail_window(6), None);
-    }
-
-    #[test]
-    fn rolling_mean() {
-        let s = TimeSeries::from_values(vec![1.0, 2.0, 3.0, 4.0]);
-        let r = s.rolling(2, |w| w.iter().sum::<f64>() / w.len() as f64);
-        assert_eq!(r.values(), &[1.5, 2.5, 3.5]);
     }
 
     #[test]
