@@ -47,6 +47,6 @@ pub mod population;
 pub use budget::{BudgetedParams, BUDGET_POINTS};
 pub use dynamics::{SimConfig, SimOutcome, Simulation};
 pub use environment::{Environment, EnvironmentKind};
-pub use experiment::{evaluate_cells, sweep_budgets, RegimeOutcome, ShockRegime, SweepCell};
+pub use experiment::{sweep_budgets, RegimeOutcome, ShockRegime};
 pub use organism::Organism;
 pub use population::{Population, PopulationStats};
