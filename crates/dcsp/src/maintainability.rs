@@ -1000,10 +1000,9 @@ fn normal_words(n_bits: usize, env: &dyn Constraint, threads: usize, out: &mut [
 /// ([`crate::bitwords::one_flip_dilation_word`] gathers all `n` flips of
 /// a word in one pass, and a fully visited word is skipped). Each gather
 /// advances 64 sibling states per instruction. Levels are streamed into
-/// per-depth
-/// counts, never stored per state, which lifts the implicit ceiling from
-/// `2^24` dense states to `2^30` — in less memory than the dense `2^24`
-/// run.
+/// per-depth counts, never stored per state, which lifts the implicit
+/// ceiling from `2^24` dense states to `2^30` — in less memory than the
+/// dense `2^24` run.
 ///
 /// The per-depth counts equal
 /// [`MaintainabilityReport::frontier_sizes`] of the dense path on the
